@@ -7,6 +7,23 @@ reflection; for r, s | p-1, U(r, s) is the group of upper triangular
 matrices [[alpha, lam], [0, beta]] with alpha^r = beta^s = 1, generated by
 the transvection fixing x plus two diagonal reflections. Every reflection
 group of order divisible by p is conjugate to exactly one catalog group.
+
+A group stores its elements as integer codes: [[a, b], [c, d]] is
+((a*p + b)*p + c)*p + d, so integer order is entry order. Closure,
+conjugation and the reflection tests run on the codes; Mat2 objects are
+built only at the API edge (generators, witnesses, ``elements``).
+
+Classification is constructive, by Dickson's theorem (L. E. Dickson,
+Linear Groups, 1901). A subgroup of order divisible by p contains
+transvections; read the lines they fix (column vectors). With two or more
+lines the group contains SL_2(F_p), so it is normal in GL_2(F_p) and is
+conjugate to L(r) only when it equals L(r). With exactly one line it lies
+in that line's stabilizer, and any matrix whose first column spans the
+line moves it onto the upper triangular form of U(r, s). The witness is
+the lexicographically first conjugator in entry order, as a search of
+all of GL_2(F_p) would find it: (0,1;1,0) for L(r), (1,0;v,1) for the
+line of (1, v) and (0,1;1,0) for the line of (0, 1). Each witness is
+checked element by element before it is returned.
 """
 
 from __future__ import annotations
@@ -18,6 +35,8 @@ from typing import Optional, Sequence
 
 from modinv.fp_arith import check_prime, divisors, inv_mod, primitive_root
 from modinv.poly2 import LinearForm
+
+_setattr = object.__setattr__
 
 
 class Mat2:
@@ -35,6 +54,18 @@ class Mat2:
         object.__setattr__(self, "b", b)
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "d", d)
+
+    @classmethod
+    def _trusted(cls, p: int, a: int, b: int, c: int, d: int) -> "Mat2":
+        # entries already reduced mod a checked prime, determinant nonzero:
+        # products, inverses and decoded group elements skip both checks
+        m = object.__new__(cls)
+        _setattr(m, "p", p)
+        _setattr(m, "a", a)
+        _setattr(m, "b", b)
+        _setattr(m, "c", c)
+        _setattr(m, "d", d)
+        return m
 
     def __setattr__(self, name, value):
         raise AttributeError("Mat2 is immutable")
@@ -54,18 +85,18 @@ class Mat2:
         if self.p != other.p:
             raise ValueError("prime mismatch")
         p = self.p
-        return Mat2(
+        return Mat2._trusted(
             p,
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
+            (self.a * other.a + self.b * other.c) % p,
+            (self.a * other.b + self.b * other.d) % p,
+            (self.c * other.a + self.d * other.c) % p,
+            (self.c * other.b + self.d * other.d) % p,
         )
 
     def inv(self) -> "Mat2":
         p = self.p
         di = inv_mod(self.det(), p)
-        return Mat2(p, self.d * di, -self.b * di, -self.c * di, self.a * di)
+        return Mat2._trusted(p, self.d * di % p, -self.b * di % p, -self.c * di % p, self.a * di % p)
 
     def __pow__(self, k: int) -> "Mat2":
         if k < 0:
@@ -172,30 +203,119 @@ def gl2_order(p: int) -> int:
     return (p * p - 1) * (p * p - p)
 
 
-class MatrixGroup:
-    """A finite subgroup of GL_2(F_p), closed under product and inverse."""
+def _code(m: Mat2) -> int:
+    p = m.p
+    return ((m.a * p + m.b) * p + m.c) * p + m.d
 
-    __slots__ = ("p", "elements", "generators")
+
+def _entries(p: int, code: int) -> tuple[int, int, int, int]:
+    hi, lo = divmod(code, p * p)
+    return divmod(hi, p) + divmod(lo, p)
+
+
+def _identity_code(p: int) -> int:
+    return p * p * p + 1
+
+
+def _is_reflection_code(p: int, code: int) -> bool:
+    # m - 1 has rank 1: m is not the identity and det(m - 1) = 1 - tr + det = 0
+    a, b, c, d = _entries(p, code)
+    return code != _identity_code(p) and (1 - a - d + a * d - b * c) % p == 0
+
+
+def _conjugate_codes(p: int, codes, ti: Mat2, t: Mat2):
+    """The codes of ti * m * t, one per code m, as an iterator."""
+    ia, ib, ic, id_ = ti.entries
+    ta, tb, tc, td = t.entries
+    for code in codes:
+        a, b, c, d = _entries(p, code)
+        e, f, g, h = a * ta + b * tc, a * tb + b * td, c * ta + d * tc, c * tb + d * td
+        yield (
+            ((ia * e + ib * g) % p * p + (ia * f + ib * h) % p) * p + (ic * e + id_ * g) % p
+        ) * p + (ic * f + id_ * h) % p
+
+
+class _RowMap(dict):
+    """Row code x*p + y -> row code of the row vector (x, y) times a fixed
+    matrix, filled on first use. The code of m * g is then
+    rows[m // p^2] * p^2 + rows[m % p^2]."""
+
+    __slots__ = ("p", "g")
+
+    def __init__(self, p: int, g: tuple[int, int, int, int]):
+        super().__init__()
+        self.p = p
+        self.g = g
+
+    def __missing__(self, row: int) -> int:
+        p = self.p
+        a, b, c, d = self.g
+        x, y = divmod(row, p)
+        out = self[row] = (x * a + y * c) % p * p + (x * b + y * d) % p
+        return out
+
+
+def _grow(p: int, seen: set, frontier: list, maps: list, cap: int) -> None:
+    """Breadth-first: add to ``seen`` every product of a frontier element
+    with the right multiplications ``maps``, until nothing new appears."""
+    pp = p * p
+    while frontier:
+        new = []
+        for m in frontier:
+            hi, lo = divmod(m, pp)
+            for rows in maps:
+                nxt = rows[hi] * pp + rows[lo]
+                if nxt not in seen:
+                    seen.add(nxt)
+                    new.append(nxt)
+            if len(seen) > cap:
+                raise CapExceededError(f"closure exceeded cap {cap}")
+        frontier = new
+
+
+class MatrixGroup:
+    """A finite subgroup of GL_2(F_p), closed under product and inverse.
+
+    ``codes`` holds the element codes (see the module docstring);
+    ``elements`` builds the Mat2 set from them on each access.
+    """
+
+    __slots__ = ("p", "codes", "generators")
 
     def __init__(self, p: int, elements: frozenset[Mat2], generators: tuple[Mat2, ...]):
-        if gl2_order(p) % len(elements) != 0:
+        self._store(p, frozenset(_code(m) for m in elements), tuple(generators))
+
+    @classmethod
+    def _from_codes(cls, p: int, codes: frozenset[int], generators: tuple[Mat2, ...]) -> "MatrixGroup":
+        group = object.__new__(cls)
+        group._store(p, codes, generators)
+        return group
+
+    def _store(self, p: int, codes: frozenset[int], generators: tuple[Mat2, ...]) -> None:
+        if gl2_order(p) % len(codes) != 0:
             raise ValueError("element count does not divide |GL_2(F_p)|")
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "elements", elements)
-        object.__setattr__(self, "generators", generators)
+        _setattr(self, "p", p)
+        _setattr(self, "codes", codes)
+        _setattr(self, "generators", generators)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGroup is immutable")
 
     @property
+    def elements(self) -> frozenset[Mat2]:
+        p = self.p
+        return frozenset(Mat2._trusted(p, *_entries(p, c)) for c in self.codes)
+
+    @property
     def order(self) -> int:
-        return len(self.elements)
+        return len(self.codes)
 
     def __contains__(self, m: Mat2) -> bool:
-        return m in self.elements
+        return isinstance(m, Mat2) and m.p == self.p and _code(m) in self.codes
 
     def __iter__(self):
-        return iter(sorted(self.elements, key=lambda m: m.entries))
+        p = self.p
+        return (Mat2._trusted(p, *_entries(p, c)) for c in sorted(self.codes))
 
     def reflections(self) -> list[Mat2]:
         return [m for m in self if is_reflection(m)]
@@ -203,17 +323,17 @@ class MatrixGroup:
     def conjugate(self, g: Mat2) -> "MatrixGroup":
         """The group g^{-1} G g."""
         gi = g.inv()
-        elems = frozenset(gi * m * g for m in self.elements)
+        codes = frozenset(_conjugate_codes(self.p, self.codes, gi, g))
         gens = tuple(gi * m * g for m in self.generators)
-        return MatrixGroup(self.p, elems, gens)
+        return MatrixGroup._from_codes(self.p, codes, gens)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixGroup):
             return NotImplemented
-        return self.p == other.p and self.elements == other.elements
+        return self.p == other.p and self.codes == other.codes
 
     def __hash__(self):
-        return hash((self.p, self.elements))
+        return hash((self.p, self.codes))
 
     def __repr__(self):
         return f"MatrixGroup(p={self.p}, order={self.order})"
@@ -233,20 +353,10 @@ def generate_closure(gens: Sequence[Mat2], cap: Optional[int] = None) -> MatrixG
             raise ValueError("prime mismatch among generators")
     if cap is None:
         cap = gl2_order(p)
-    seen = {Mat2.identity(p)}
-    frontier = [Mat2.identity(p)]
-    while frontier:
-        new = []
-        for m in frontier:
-            for g in gens:
-                nxt = m * g
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-                    if len(seen) > cap:
-                        raise CapExceededError(f"closure exceeded cap {cap}")
-        frontier = new
-    return MatrixGroup(p, frozenset(seen), tuple(gens))
+    ident = _identity_code(p)
+    seen = {ident}
+    _grow(p, seen, [ident], [_RowMap(p, g.entries) for g in gens], cap)
+    return MatrixGroup._from_codes(p, frozenset(seen), tuple(gens))
 
 
 def trivial_group(p: int) -> MatrixGroup:
@@ -328,41 +438,81 @@ def all_invertible(p: int) -> tuple[Mat2, ...]:
     return tuple(out)
 
 
-def _fingerprint(g: MatrixGroup) -> tuple[int, int, int]:
-    dets = {m.det() for m in g.elements}
-    return (g.order, len(g.reflections()), len(dets))
+def _transvection_lines(g: MatrixGroup) -> set[tuple[int, int]]:
+    """The lines fixed by the group's transvections, each as its spanning
+    column vector (1, v) or (0, 1); the scan stops at two lines."""
+    p = g.p
+    lines: set[tuple[int, int]] = set()
+    for code in g.codes:
+        a, b, c, d = _entries(p, code)
+        # a transvection is not the identity and has trace 2 and determinant 1;
+        # then b = 0 forces a = 1, and m - 1 = (0,0;c,0) fixes (0, 1)
+        if code == _identity_code(p) or (a + d - 2) % p or (a * d - b * c - 1) % p:
+            continue
+        lines.add((1, (1 - a) * inv_mod(b, p) % p) if b else (0, 1))
+        if len(lines) > 1:
+            break
+    return lines
+
+
+def _line_matrix(p: int, line: tuple[int, int]) -> Mat2:
+    """The first invertible matrix in entry order whose first column spans
+    the line: (1,0;v,1) for the line of (1, v), (0,1;1,0) for that of (0, 1)."""
+    x, v = line
+    return Mat2(p, 1, 0, v, 1) if x else Mat2(p, 0, 1, 1, 0)
 
 
 def find_conjugator(g: MatrixGroup, target: MatrixGroup) -> Optional[Mat2]:
-    """A matrix t with t^{-1} g t == target (elementwise), or None."""
+    """A matrix t with t^{-1} g t == target (elementwise), or None.
+
+    For a catalog target t is the first such matrix in ``all_invertible``
+    order. The construction reads the lines fixed by the transvections
+    (see the module docstring), so groups of order prime to p, which have
+    none, give None.
+    """
     if g.p != target.p or g.order != target.order:
         return None
-    if _fingerprint(g) != _fingerprint(target):
+    p = g.p
+    lines, target_lines = _transvection_lines(g), _transvection_lines(target)
+    if not lines or len(lines) != len(target_lines):
         return None
-    target_set = target.elements
-    gens = g.generators if g.generators else tuple(g.elements)
-    for t in all_invertible(g.p):
-        ti = t.inv()
-        if all(ti * m * t in target_set for m in gens):
-            if frozenset(ti * m * t for m in g.elements) == target_set:
-                return t
+    if len(lines) > 1:
+        # both contain SL_2(F_p), so both are normal in GL_2(F_p): every t
+        # works when they are equal, and (0,1;1,0) is the first invertible one
+        return Mat2(p, 0, 1, 1, 0) if g.codes == target.codes else None
+    (u,), ((x, v),) = lines, target_lines
+    # the inverse of the line matrix of (1, v) is that of (1, -v), the swap
+    # is its own; for a catalog target, line (1, 0), it is the identity
+    t = _line_matrix(p, u) * _line_matrix(p, (x, -v % p))
+    target_codes = target.codes
+    # conjugation is injective and the orders agree, so containment is
+    # equality; the scan stops at the first element outside the target
+    if all(c in target_codes for c in _conjugate_codes(p, g.codes, t.inv(), t)):
+        return t
     return None
 
 
 def _reflections_generate(g: MatrixGroup) -> bool:
-    # incremental closure: adjoin reflections only while the subgroup grows,
-    # stopping as soon as it fills g (the closure is contained in g, so
-    # reaching |g| elements is equality)
-    gens: list[Mat2] = []
-    elements = frozenset({Mat2.identity(g.p)})
-    for m in g.reflections():
-        if m in elements:
+    # adjoin reflections only while the subgroup grows, extending the
+    # closure incrementally, and stop as soon as it fills g (the subgroup
+    # lies in g, so reaching |g| elements is equality)
+    p = g.p
+    pp = p * p
+    seen = {_identity_code(p)}
+    maps: list[_RowMap] = []
+    for code in g.codes:
+        if code in seen or not _is_reflection_code(p, code):
             continue
-        gens.append(m)
-        elements = generate_closure(gens).elements
-        if len(elements) == g.order:
+        rows = _RowMap(p, _entries(p, code))
+        # seen is closed under the earlier generators, so only its products
+        # with the new one are new; right multiplication is injective
+        new = [n for n in (rows[m // pp] * pp + rows[m % pp] for m in seen) if n not in seen]
+        seen.update(new)
+        maps.append(rows)
+        _grow(p, seen, new, maps, gl2_order(p))
+        if len(seen) == g.order:
             return True
-    return len(elements) == g.order
+    return len(seen) == g.order
 
 
 def classify(g: MatrixGroup) -> GroupClass:

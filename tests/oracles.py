@@ -98,3 +98,36 @@ def to_zdict(poly):
 def same_poly(zd, poly, p):
     """Compare an oracle dict against a package polynomial mod p."""
     return zreduce(zd, p) == dict(poly.terms)
+
+
+def _mat_mul(x, y, p):
+    a, b, c, d = x
+    e, f, g, h = y
+    return ((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)
+
+
+def brute_force_conjugator(group, target):
+    """The first invertible t, in entry order (a, b, c, d), with
+    t^-1 g t == target elementwise, as an entry tuple, or None. Tries every
+    matrix of GL_2(F_p); the generators screen a candidate before the
+    whole group is conjugated."""
+    p = group.p
+    elements = [m.entries for m in group.elements]
+    want = {m.entries for m in target.elements}
+    if len(elements) != len(want):
+        return None
+    gens = [m.entries for m in group.generators] or elements
+    for a in range(p):
+        for b in range(p):
+            for c in range(p):
+                for d in range(p):
+                    det = (a * d - b * c) % p
+                    if not det:
+                        continue
+                    di = pow(det, -1, p)
+                    t, ti = (a, b, c, d), (d * di % p, -b * di % p, -c * di % p, a * di % p)
+                    if all(_mat_mul(_mat_mul(ti, m, p), t, p) in want for m in gens) and {
+                        _mat_mul(_mat_mul(ti, m, p), t, p) for m in elements
+                    } == want:
+                        return t
+    return None

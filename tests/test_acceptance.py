@@ -20,7 +20,16 @@ from modinv.graded_ideal import (
     invariant_slice,
     omega_family,
 )
-from modinv.grp2 import Mat2, Reflection, catalog_generators, catalog_group, omega, omega_prime
+from modinv.grp2 import (
+    Mat2,
+    Reflection,
+    catalog_generators,
+    catalog_group,
+    classify,
+    generate_closure,
+    omega,
+    omega_prime,
+)
 from modinv.poly2 import Poly2, slice_vector, verify_formules
 from modinv.stable_chain import compute_J1, stable_chain, verify_basedos
 from modinv.verify import run_verification
@@ -290,3 +299,29 @@ def test_criterion_13_property_suites():
             assert dims == dims[::-1]
             assert dims == complete_intersection_dims(p * p - p, r * (p + 1))
     _announce(13, "property suites", started)
+
+
+def test_criterion_14_classification_at_p31():
+    # a conjugated U(30,1) and <omega, omega'> = L(1); GL_2(F_31) itself is
+    # left out, its 887 040 elements make the closure the cost
+    started = time.perf_counter()
+    p = 31
+    rng = random.Random(31)
+    while True:
+        entries = [rng.randrange(p) for _ in range(4)]
+        if (entries[0] * entries[3] - entries[1] * entries[2]) % p:
+            break
+    u = Mat2(p, *entries)
+    moved = [u.inv() * refl.matrix * u for refl in catalog_generators("U", p, 30, 1)]
+    cases = (
+        (moved, ("U", 30, 1), catalog_group("U", p, 30, 1)),
+        ([omega(p), omega_prime(p)], ("L", 1, None), catalog_group("L", p, 1)),
+    )
+    for gens, want, target in cases:
+        group = generate_closure(gens)
+        tag = classify(group)
+        assert (tag.kind, tag.r, tag.s) == want
+        assert group.conjugate(tag.conjugator) == target
+    elapsed = time.perf_counter() - started
+    assert elapsed < 5.0, f"budget 5s exceeded: {elapsed:.2f}s"
+    _announce(14, "classify at p = 31", started)

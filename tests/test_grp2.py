@@ -1,8 +1,10 @@
 """Matrix groups: closure, reflections, the catalog, classification."""
 
+import itertools
 import random
 
 import pytest
+from oracles import brute_force_conjugator
 
 from modinv.fp_arith import divisors
 from modinv.grp2 import (
@@ -16,6 +18,7 @@ from modinv.grp2 import (
     catalog_group,
     classify,
     diag,
+    find_conjugator,
     generate_closure,
     gl2_order,
     is_reflection,
@@ -29,12 +32,19 @@ from modinv.grp2 import (
 PRIMES = [2, 3, 5, 7]
 
 
+def _catalog(p):
+    groups = [catalog_group("L", p, r) for r in divisors(p - 1)]
+    return groups + [catalog_group("U", p, r, s) for r in divisors(p - 1) for s in divisors(p - 1)]
+
+
 def test_matrix_basics():
     m = Mat2(5, 1, 2, 3, 4)
     assert (m * m.inv()) == Mat2.identity(5)
     assert m.det() == (4 - 6) % 5
     with pytest.raises(ValueError):
         Mat2(5, 1, 2, 2, 4)  # singular
+    with pytest.raises(ValueError):
+        Mat2(4, 1, 0, 0, 1)  # modulus not prime
     assert (m**3) == m * m * m
     assert omega(5).order() == 5
 
@@ -127,11 +137,7 @@ def test_other_modular_detection():
 def test_classification_invariant_under_conjugation(p):
     rng = random.Random(40 + p)
     mats = all_invertible(p)
-    groups = [catalog_group("L", p, r) for r in divisors(p - 1)]
-    groups += [
-        catalog_group("U", p, r, s) for r in divisors(p - 1) for s in divisors(p - 1)
-    ]
-    for g in groups:
+    for g in _catalog(p):
         base = classify(g)
         for _ in range(25):
             t = rng.choice(mats)
@@ -188,6 +194,8 @@ def test_matrix_grammar():
 def test_group_iteration_is_deterministic():
     g = catalog_group("U", 3, 2, 2)
     assert [m.entries for m in g] == sorted(m.entries for m in g.elements)
+    # the element set round-trips through the public constructor
+    assert MatrixGroup(3, g.elements, g.generators) == g
 
 
 def test_lower_transvection_group_classifies_as_U11():
@@ -198,3 +206,30 @@ def test_lower_transvection_group_classifies_as_U11():
         tag = classify(g)
         assert (tag.kind, tag.r, tag.s) == ("U", 1, 1)
         assert g.conjugate(tag.conjugator).elements == catalog_group("U", p, 1, 1).elements
+
+
+def _assert_witnesses_match_oracle(groups, p):
+    # the constructive witness is the one the exhaustive search finds first
+    for g in groups:
+        for target in _catalog(p):
+            t = find_conjugator(g, target)
+            assert (t.entries if t is not None else None) == brute_force_conjugator(g, target)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_find_conjugator_matches_oracle_on_reflection_closures(p):
+    closures = {}
+    for size in (1, 2, 3):
+        for subset in itertools.combinations(all_reflections(p), size):
+            g = generate_closure(list(subset))
+            closures.setdefault(g, g)
+    _assert_witnesses_match_oracle(closures, p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_find_conjugator_matches_oracle_on_conjugated_catalog(p):
+    # every conjugator at p <= 3, a seeded sample above
+    rng = random.Random(70 + p)
+    mats = all_invertible(p)
+    conjugators = mats if p <= 3 else rng.sample(mats, 3)
+    _assert_witnesses_match_oracle([g.conjugate(t) for g in _catalog(p) for t in conjugators], p)

@@ -225,6 +225,19 @@ def test_mutation_grups(monkeypatch):
     assert rep.status == "fail"
 
 
+def test_mutation_grups_wrong_witness(monkeypatch):
+    # the tags stay right; only the witness is wrong (the identity)
+    original = grp2.find_conjugator
+
+    def identity_witness(g, target):
+        t = original(g, target)
+        return None if t is None else grp2.Mat2.identity(g.p)
+
+    monkeypatch.setattr(grp2, "find_conjugator", identity_witness)
+    (rep,) = run_verification([3], ["grups"])
+    assert rep.status == "fail"
+
+
 def test_cli_opt_in_larger_primes(capsys):
     code = cli.cli_main(["verify", "--prime", "11", "--theorem", "lemabinomial"])
     assert code == 0
