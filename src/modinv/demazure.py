@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 
 from modinv.fp_arith import check_prime, inv_mod, lucas_binom
 from modinv.fp_linalg import Subspace, kernel
-from modinv.graded_ideal import GradedIdeal, default_degree_cap
+from modinv.graded_ideal import GradedIdeal, default_degree_cap, degree_generators
 from modinv.grp2 import CapExceededError, Reflection
 from modinv.poly2 import (
     LinearForm,
@@ -30,7 +30,6 @@ from modinv.poly2 import (
     divide_slice_by_form,
     div_exact_linear,
     gamma,
-    poly_from_slice,
 )
 
 
@@ -165,6 +164,11 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     generators are found and the scan has reached the sum of their degrees;
     the regular sequence certificate is that exactly two minimal generators
     exist by then and the quotient vanishes in degree d1 + d2 - 1.
+
+    The minimal generators are read off the levels themselves with
+    ``degree_generators``; the returned ideal takes the levels as its slice
+    source. Scanning through ``GradedIdeal.slice`` instead would re-span
+    every level.
     """
     ops = _as_ops(s)
     p = ops[0].p
@@ -190,23 +194,7 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     gens: list[tuple[int, Poly2]] = []
     d = 1
     while d <= cap:
-        cur = level(d)
-        if not cur.is_zero:
-            prev = level(d - 1)
-            w_rows = []
-            for v in prev.rows:
-                w_rows.append(list(v) + [0])
-                w_rows.append([0] + list(v))
-            w = Subspace.span(p, d + 1, w_rows)
-            for v in cur.rows:
-                red = w.reduce(v)
-                if any(red):
-                    lead = next(i for i, x in enumerate(red) if x)
-                    if red[lead] != 1:
-                        t = inv_mod(red[lead], p)
-                        red = [x * t % p for x in red]
-                    gens.append((d, poly_from_slice(p, d, red)))
-                    w = w.sum(Subspace.span(p, d + 1, [red]))
+        gens += [(d, g) for g in degree_generators(p, d, level(d - 1), level(d))]
         if len(gens) >= 2 and d >= gens[0][0] + gens[1][0]:
             break
         d += 1

@@ -198,18 +198,6 @@ def primitive_root(p: int) -> int:
     raise AssertionError(f"no primitive root found mod {p}")
 
 
-def element_order(a: int, p: int) -> int:
-    """Multiplicative order of a nonzero residue."""
-    a %= p
-    if a == 0:
-        raise ZeroDivisionError("0 has no multiplicative order")
-    x, n = a, 1
-    while x != 1:
-        x = x * a % p
-        n += 1
-    return n
-
-
 def divisors(n: int) -> list[int]:
     """Positive divisors of n in increasing order."""
     out = [d for d in range(1, n + 1) if n % d == 0]

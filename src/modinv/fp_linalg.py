@@ -1,8 +1,8 @@
 """Dense exact linear algebra over F_p on degree-slice vectors.
 
 Everything is canonical: a subspace is stored as its reduced row echelon
-basis, so equality of subspaces is equality of matrices. Kernels,
-intersections and membership all reduce to the three kernel primitives in
+basis, so equality of subspaces is equality of matrices. Spans, sums,
+kernels and membership all reduce to the kernel primitives in
 ``_kernels``.
 """
 
@@ -84,9 +84,6 @@ class Subspace:
         self._check_compatible(other)
         return Subspace.span(self.p, self.ncols, list(self.rows) + list(other.rows))
 
-    def intersect(self, other: "Subspace") -> "Subspace":
-        return intersect(self, other)
-
     def _check_compatible(self, other: "Subspace"):
         if self.p != other.p:
             raise ValueError(f"prime mismatch: {self.p} vs {other.p}")
@@ -130,37 +127,3 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
             v[pc] = (-row[c]) % p
         vectors.append(v)
     return Subspace.span(p, ncols, vectors)
-
-
-def intersect(a: Subspace, b: Subspace) -> Subspace:
-    """Intersection via the kernel of the stacked-basis system."""
-    a._check_compatible(b)
-    if a.is_full:
-        return b
-    if b.is_full:
-        return a
-    if a.is_zero or b.is_zero:
-        return Subspace.zero(a.p, a.ncols)
-    p, n = a.p, a.ncols
-    da, db = a.dim, b.dim
-    # columns: da coefficients on a's basis, db on b's; one equation per coordinate
-    system = []
-    for i in range(n):
-        row = [a.rows[j][i] for j in range(da)] + [(-b.rows[j][i]) % p for j in range(db)]
-        system.append(row)
-    coeffs = kernel(system, da + db, p)
-    vectors = []
-    for coeff in coeffs.rows:
-        v = [0] * n
-        for j in range(da):
-            cj = coeff[j]
-            if cj:
-                row = a.rows[j]
-                v = [(x + cj * y) % p for x, y in zip(v, row)]
-        vectors.append(v)
-    return Subspace.span(p, n, vectors)
-
-
-def contains(a: Subspace, v: Sequence[int]) -> bool:
-    """Membership of a vector in a subspace."""
-    return a.contains(v)

@@ -9,10 +9,16 @@ degree bound). The degree-d slice is built exactly by the recursion
                + source(d),
 
 which equals the sum over e <= d of P_{d-e} times the degree-e input and
-is therefore exact at every degree. Membership, ideal equality, quotient
-dimensions, minimal generators and the monomial basis checks all live
-here, together with the fixed-subspace computation in the polynomial ring
-and in its quotients.
+is therefore exact at every degree. The rows of P_1 * slice(d-1) come
+from one shift helper, ``_p1_rows``.
+
+Minimal generators are read off degree by degree by one extraction,
+``degree_generators(p, d, below, cur)``: the echelon lifts of cur modulo
+P_1 * below, each scaled to leading coefficient 1. ``minimal_generators``
+runs it on an ideal's slices and ``demazure.generalized_ideal`` on its own
+levels. Membership, ideal equality, quotient dimensions and the monomial
+basis checks also live here, together with the fixed-subspace computation
+in the polynomial ring and in its quotients.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from modinv.fp_arith import check_prime, inv_mod
 from modinv.fp_linalg import Subspace, kernel
@@ -37,12 +43,18 @@ def default_degree_cap(p: int) -> int:
     return 4 * p * p
 
 
-class MonotonicityError(ValueError):
-    pass
-
-
 class InfiniteQuotientError(RuntimeError):
     pass
+
+
+def _p1_rows(prev: Subspace) -> list[list[int]]:
+    """Rows spanning P_1 * prev one degree up: x*v, then y*v, for each row v."""
+    rows = []
+    for v in prev.rows:
+        row = list(v)
+        rows.append(row + [0])
+        rows.append([0] + row)
+    return rows
 
 
 class GradedIdeal:
@@ -90,11 +102,7 @@ class GradedIdeal:
                 while len(self._slices) <= d:
                     e = len(self._slices)
                     prev = self._slices[e - 1]
-                    rows = []
-                    for v in prev.rows:
-                        row = list(v)
-                        rows.append(row + [0])  # multiply by x
-                        rows.append([0] + row)  # multiply by y
+                    rows = _p1_rows(prev)
                     for g in self._gens_by_degree.get(e, ()):
                         rows.append(slice_vector(g, e))
                     if self.slice_source is not None:
@@ -172,64 +180,38 @@ def ideal_equal(a: GradedIdeal, b: GradedIdeal) -> bool:
     )
 
 
-def _shifted_rows(prev: Subspace) -> list[list[int]]:
-    rows = []
-    for v in prev.rows:
-        row = list(v)
-        rows.append(row + [0])
-        rows.append([0] + row)
-    return rows
+def degree_generators(p: int, d: int, below: Subspace, cur: Subspace) -> list[Poly2]:
+    """The degree-d minimal generators of an ideal with slices below (degree
+    d-1) and cur (degree d): the canonical (echelon) lifts of a basis of cur
+    modulo P_1 * below, each scaled to leading coefficient 1."""
+    if cur.is_zero:
+        return []
+    out: list[Poly2] = []
+    w = Subspace.span(p, d + 1, _p1_rows(below))
+    for v in cur.rows:
+        red = w.reduce(v)
+        if any(red):
+            lead = next(x for x in red if x)
+            if lead != 1:
+                s = inv_mod(lead, p)
+                red = [x * s % p for x in red]
+            out.append(poly_from_slice(p, d, red))
+            w = w.sum(Subspace.span(p, d + 1, [red]))
+    return out
 
 
 def minimal_generators(ideal: GradedIdeal, through: Optional[int] = None) -> list[Poly2]:
-    """Minimal homogeneous generators, by increasing degree.
-
-    In each degree the new generators are the canonical (echelon) lifts of
-    a basis of slice(d) modulo P_1 * slice(d-1). For a finite quotient the
-    scan through topdeg + 1 is exhaustive.
-    """
+    """Minimal homogeneous generators, by increasing degree, from
+    ``degree_generators`` on the ideal's slices. For a finite quotient the
+    scan through topdeg + 1 is exhaustive."""
     if through is None:
         top = ideal.top_degree()
         if top is None:
             raise InfiniteQuotientError("infinite quotient: pass an explicit degree bound")
         through = top + 1
-    p = ideal.p
     out: list[Poly2] = []
     for d in range(1, through + 1):
-        cur = ideal.slice(d)
-        if cur.is_zero:
-            continue
-        w = Subspace.span(p, d + 1, _shifted_rows(ideal.slice(d - 1)))
-        for v in cur.rows:
-            red = w.reduce(v)
-            if any(red):
-                lead = next(i for i, x in enumerate(red) if x)
-                if red[lead] != 1:
-                    s = inv_mod(red[lead], p)
-                    red = [x * s % p for x in red]
-                out.append(poly_from_slice(p, d, red))
-                w = w.sum(Subspace.span(p, d + 1, [red]))
-    return out
-
-
-def minimal_generators_from_slices(slices: Mapping[int, Subspace], p: int) -> list[Poly2]:
-    """Same extraction from an explicit degree-indexed family of subspaces;
-    validates the monotonicity P_1 * slice(d-1) <= slice(d)."""
-    out: list[Poly2] = []
-    degrees = sorted(d for d in slices if d >= 1)
-    for d in degrees:
-        cur = slices[d]
-        prev = slices.get(d - 1, Subspace.zero(p, d))
-        shifted = _shifted_rows(prev)
-        for row in shifted:
-            if not cur.contains(row):
-                raise MonotonicityError(f"slice({d}) does not contain P_1 * slice({d - 1})")
-        w = Subspace.span(p, d + 1, shifted)
-        for v in cur.rows:
-            red = w.reduce(v)
-            if any(red):
-                out.append(poly_from_slice(p, d, red))
-                w = w.sum(Subspace.span(p, d + 1, [red]))
+        out += degree_generators(ideal.p, d, ideal.slice(d - 1), ideal.slice(d))
     return out
 
 

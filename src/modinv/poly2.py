@@ -323,42 +323,36 @@ def divide_slice_by_form(vec: Sequence[int], form: LinearForm, p: int) -> list[i
 # -- exact division ----------------------------------------------------------
 
 
-class _Shear:
-    # minimal matrix-like object for internal change-of-variable actions
-    __slots__ = ("p", "entries")
-
-    def __init__(self, p, entries):
-        self.p = p
-        self.entries = entries
-
-
 def div_exact_linear(f: Poly2, form: LinearForm) -> Poly2:
     """Exact quotient f / (a x + b y).
 
-    Performed by the change of variables that sends the form to a
-    coordinate, coordinate division, and the inverse substitution.
-    Raises NotDivisibleError carrying the nonzero remainder otherwise.
+    Each homogeneous component is divided on its slice vector by
+    ``divide_slice_by_form`` (synthetic division). Raises NotDivisibleError
+    carrying the nonzero remainder otherwise: the sum over the components
+    of degree d of their scalar remainders times x^d for the form y, and
+    times y^d for a form x + b y.
     """
     if f.p != form.p:
         raise ValueError("prime mismatch")
     p = f.p
-    if f.is_zero():
-        return f
-    if form.a == 0:
-        bad = {(i, j): c for (i, j), c in f.terms.items() if j == 0}
-        if bad:
-            raise NotDivisibleError("not divisible by y", Poly2(p, bad))
-        return Poly2(p, {(i, j - 1): c for (i, j), c in f.terms.items()})
-    # substitute x -> x - b*y so the form becomes x
-    b = form.b
-    fwd = _Shear(p, (1, 0, (-b) % p, 1))
-    back = _Shear(p, (1, 0, b % p, 1))
-    g = act(fwd, f)
-    bad = {(i, j): c for (i, j), c in g.terms.items() if i == 0}
-    if bad:
-        raise NotDivisibleError("not divisible by linear form", act(back, Poly2(p, bad)))
-    quot = Poly2(p, {(i - 1, j): c for (i, j), c in g.terms.items()})
-    return act(back, quot)
+    quot: dict[tuple[int, int], int] = {}
+    rem: dict[tuple[int, int], int] = {}
+    slices: dict[int, list[int]] = {}
+    for (i, j), c in f.terms.items():
+        if i + j not in slices:
+            slices[i + j] = [0] * (i + j + 1)
+        slices[i + j][j] = c
+    for d, vec in slices.items():
+        try:
+            q = divide_slice_by_form(vec, form, p)
+        except NotDivisibleError as exc:
+            rem[(d, 0) if form.a == 0 else (0, d)] = exc.remainder
+            continue
+        quot.update(((d - 1 - k, k), c) for k, c in enumerate(q))
+    if rem:
+        what = "y" if form.a == 0 else "linear form"
+        raise NotDivisibleError(f"not divisible by {what}", Poly2(p, rem))
+    return Poly2(p, quot)
 
 
 def div_exact(f: Poly2, g: Poly2) -> Poly2:

@@ -131,3 +131,31 @@ def brute_force_conjugator(group, target):
                     } == want:
                         return t
     return None
+
+
+def element_order(a, p):
+    """Multiplicative order of a nonzero residue, by repeated multiplication."""
+    a %= p
+    if a == 0:
+        raise ZeroDivisionError("0 has no multiplicative order")
+    x, n = a, 1
+    while x != 1:
+        x = x * a % p
+        n += 1
+    return n
+
+
+def shear_div_linear(f, a, b, p):
+    """Division of f by the normalized form a x + b y (a in {0, 1}) through
+    a change of variables: x -> x - b y turns x + b y into x, the terms free
+    of the divisor variable are the remainder, and the inverse substitution
+    brings quotient and remainder back. Returns (quotient, remainder); the
+    quotient is meaningful only when the remainder is {}."""
+    f = zreduce(f, p)
+    if a == 0:
+        rem = {(i, j): c for (i, j), c in f.items() if j == 0}
+        return {(i, j - 1): c for (i, j), c in f.items() if j}, rem
+    g = zreduce(zsubstitute(f, 1, 0, -b, 1), p)
+    rem = {(i, j): c for (i, j), c in g.items() if i == 0}
+    quot = {(i - 1, j): c for (i, j), c in g.items() if i}
+    return zreduce(zsubstitute(quot, 1, 0, b, 1), p), zreduce(zsubstitute(rem, 1, 0, b, 1), p)

@@ -15,7 +15,7 @@ from modinv.demazure import (
     verify_operadorsD,
 )
 from modinv.fp_arith import divisors
-from modinv.graded_ideal import GradedIdeal, ideal_equal
+from modinv.graded_ideal import GradedIdeal, ideal_equal, minimal_generators
 from modinv.grp2 import (
     Mat2,
     Reflection,
@@ -212,6 +212,19 @@ def test_sandwich_between_ordinary_and_stable(p):
                 gi_slice = res.ideal.slice(d)
                 assert gi_slice.contains_subspace(j1.slice(d))
                 assert jinf.slice(d).contains_subspace(gi_slice)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_generators_are_the_minimal_generators_of_the_ideal(p):
+    # the scan over the levels and minimal_generators over the returned
+    # ideal's slices give the same generators in the same degrees
+    sets = [("L", (r,)) for r in divisors(p - 1)]
+    sets += [("U", (r, s)) for r in divisors(p - 1) for s in divisors(p - 1)]
+    for kind, args in sets:
+        res = generalized_ideal(catalog_generators(kind, p, *args))
+        d1, d2 = res.generator_degrees[:2]
+        expected = [(g.degree(), g) for g in minimal_generators(res.ideal, through=d1 + d2)]
+        assert res.generators == expected
 
 
 @pytest.mark.parametrize("p", [3, 5])

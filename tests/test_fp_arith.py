@@ -8,11 +8,12 @@ from modinv.fp_arith import (
     FpScalar,
     binomial_sum_check,
     divisors,
-    element_order,
     inv,
     lucas_binom,
     primitive_root,
 )
+
+from oracles import element_order
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 

@@ -1,10 +1,10 @@
-"""Subspace lattice over F_p: echelon forms, kernels, intersections."""
+"""Subspaces over F_p: echelon forms, kernels, sums and membership."""
 
 import random
 
 import pytest
 
-from modinv.fp_linalg import Subspace, echelon, intersect, kernel
+from modinv.fp_linalg import Subspace, echelon, kernel
 
 
 def random_subspace(rng, p, n, k):
@@ -51,54 +51,6 @@ def test_kernel_rank_nullity_and_annihilation():
                 assert sum(a * b for a, b in zip(row, v)) % p == 0
 
 
-def test_intersect_examples():
-    p = 3
-    full = Subspace.full(p, 2)
-    b = Subspace.span(p, 2, [[1, 2]])
-    assert intersect(full, b) == b
-    l1 = Subspace.span(p, 2, [[1, 0]])
-    l2 = Subspace.span(p, 2, [[0, 1]])
-    assert intersect(l1, l2).is_zero
-    a = Subspace.span(2, 3, [[1, 0, 1], [0, 1, 0]])
-    c = Subspace.span(2, 3, [[1, 1, 1]])
-    assert intersect(a, c) == c  # (1,1,1) = (1,0,1) + (0,1,0)
-
-
-def test_intersection_dimension_formula():
-    rng = random.Random(8)
-    for _ in range(40):
-        p = rng.choice([2, 3, 5])
-        n = rng.randrange(1, 7)
-        a = random_subspace(rng, p, n, rng.randrange(0, n + 1))
-        b = random_subspace(rng, p, n, rng.randrange(0, n + 1))
-        meet = intersect(a, b)
-        join = a.sum(b)
-        assert meet.dim == a.dim + b.dim - join.dim
-        for v in meet.rows:
-            assert a.contains(v) and b.contains(v)
-
-
-def test_modular_law_spot_check():
-    # A cap (B + (A cap C)) = (A cap B) + (A cap C) whenever C <= A
-    rng = random.Random(16)
-    p, n = 3, 6
-    for _ in range(30):
-        a = random_subspace(rng, p, n, rng.randrange(1, 6))
-        # C spanned by random combinations of A's basis, so C <= A
-        combos = []
-        for _ in range(rng.randrange(0, 3)):
-            coeffs = [rng.randrange(p) for _ in a.rows]
-            vec = [0] * n
-            for cf, row in zip(coeffs, a.rows):
-                vec = [(x + cf * y) % p for x, y in zip(vec, row)]
-            combos.append(vec)
-        c = Subspace.span(p, n, combos)
-        b = random_subspace(rng, p, n, rng.randrange(0, 5))
-        lhs = intersect(a, b.sum(c))
-        rhs = intersect(a, b).sum(c)
-        assert lhs == rhs
-
-
 def test_contains_examples():
     p = 5
     a = Subspace.span(p, 3, [[1, 2, 0]])
@@ -126,7 +78,7 @@ def test_dimension_mismatch_errors():
     a = Subspace.span(3, 2, [[1, 0]])
     b = Subspace.span(3, 3, [[1, 0, 0]])
     with pytest.raises(ValueError):
-        intersect(a, b)
+        a.sum(b)
     with pytest.raises(ValueError):
         a.contains([1, 0, 0])
     with pytest.raises(ValueError):

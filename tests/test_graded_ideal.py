@@ -9,7 +9,6 @@ from modinv.fp_arith import divisors
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
     GradedIdeal,
-    MonotonicityError,
     basis_check,
     complete_intersection_dims,
     gamma_family,
@@ -18,7 +17,6 @@ from modinv.graded_ideal import (
     invariant_slice,
     member,
     minimal_generators,
-    minimal_generators_from_slices,
     omega_family,
     theta_family,
 )
@@ -95,23 +93,11 @@ def test_minimal_generators_examples():
     )
 
 
-def test_minimal_generators_monotonicity_violation():
-    p = 3
-    # slices claiming x in degree 1 but an unrelated line in degree 2
-    bad = {
-        1: Subspace.span(p, 2, [[1, 0]]),
-        2: Subspace.span(p, 3, [[0, 0, 1]]),
-    }
-    with pytest.raises(MonotonicityError):
-        minimal_generators_from_slices(bad, p)
-
-
-def test_minimal_generators_from_valid_slices():
-    p = 3
-    i = ideal(p, "x", "y^2")
-    slices = {d: i.slice(d) for d in range(4)}
-    gens = minimal_generators_from_slices(slices, p)
-    assert gens == [parse_poly("x", p), parse_poly("y^2", p)]
+def test_minimal_generators_are_scaled_to_leading_coefficient_one():
+    # the degree-3 generator reduces to 4*y^3 modulo P_1 * slice(2)
+    p = 5
+    i = ideal(p, "4*x + 4*y", "4*x^3 + 2*x^2*y + 3*x*y^2 + 4*y^3")
+    assert minimal_generators(i) == [parse_poly("x + y", p), parse_poly("y^3", p)]
 
 
 def test_saturation_asserted_and_monotone():

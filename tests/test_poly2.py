@@ -22,7 +22,7 @@ from modinv.poly2 import (
     poly_from_slice,
     slice_vector,
 )
-from oracles import zdivide, zmul, zpow, zreduce, zsub, zsubstitute
+from oracles import same_poly, shear_div_linear, zdivide, zmul, zpow, zreduce, zsub, zsubstitute
 
 PRIMES = [2, 3, 5, 7]
 
@@ -181,6 +181,33 @@ def test_div_exact_linear_error_carries_remainder():
     with pytest.raises(NotDivisibleError) as exc:
         div_exact_linear(poly2.x_var(p), LinearForm(p, 0, 1))
     assert exc.value.remainder == poly2.x_var(p)
+
+
+def test_div_exact_linear_remainder_for_x_plus_by():
+    # over F_7, x^2 + y^2 = (x + 2y)(x - 2y) + 5y^2 and x + 2y is divisible:
+    # only the components of degree 2 and 0 leave a remainder
+    p = 7
+    with pytest.raises(NotDivisibleError) as exc:
+        div_exact_linear(parse_poly("x^2 + y^2 + x + 2*y + 1", p), LinearForm(p, 1, 2))
+    assert exc.value.remainder == parse_poly("5*y^2 + 1", p)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_div_exact_linear_matches_shear_oracle(p):
+    # quotient or remainder, against the change-of-variables division
+    rng = random.Random(37 + p)
+    forms = [LinearForm(p, 0, 1)] + [LinearForm(p, 1, b) for b in range(p)]
+    for form in forms:
+        for _ in range(3):
+            g = random_poly(rng, p, max_deg=5, terms=4)
+            for f in (g, form.as_poly() * g):
+                quot, rem = shear_div_linear(dict(f.terms), form.a, form.b, p)
+                if rem:
+                    with pytest.raises(NotDivisibleError) as exc:
+                        div_exact_linear(f, form)
+                    assert same_poly(rem, exc.value.remainder, p)
+                else:
+                    assert same_poly(quot, div_exact_linear(f, form), p)
 
 
 def test_divide_slice_matches_poly_division():

@@ -1,6 +1,7 @@
 """The verification runner, report serialization, and the command line."""
 
 import json
+import sys
 
 import pytest
 
@@ -236,6 +237,20 @@ def test_mutation_grups_wrong_witness(monkeypatch):
     monkeypatch.setattr(grp2, "find_conjugator", identity_witness)
     (rep,) = run_verification([3], ["grups"])
     assert rep.status == "fail"
+
+
+def test_grups_builds_no_list_of_all_invertible_matrices(monkeypatch):
+    # the random conjugators are drawn entry by entry, not picked from
+    # all |GL_2(F_p)| matrices
+    def refuse(p):
+        raise AssertionError("all_invertible must not be called")
+
+    original = grp2.all_invertible
+    for name, module in list(sys.modules.items()):
+        if name.startswith("modinv") and getattr(module, "all_invertible", None) is original:
+            monkeypatch.setattr(module, "all_invertible", refuse)
+    (rep,) = run_verification([5], ["grups"])
+    assert rep.status == "pass"
 
 
 def test_cli_opt_in_larger_primes(capsys):
