@@ -2,22 +2,33 @@
 
 The compiled core is used when it was built; otherwise the pure Python
 reference takes over. Set MODINV_PURE=1 to force the pure backend (used by
-the benchmark and the backend-parity tests).
+the benchmark and the backend-parity tests). The compiled core computes in
+C long, where a product of two residues overflows once p >= 2**31, so
+calls with such a prime go to the pure kernels.
 """
 
 import os
 
-if os.environ.get("MODINV_PURE"):
-    from modinv import _core_py as _impl
-else:
+from modinv import _core_py
+
+_impl = _core_py
+if not os.environ.get("MODINV_PURE"):
     try:
         from modinv import _core_c as _impl  # type: ignore[attr-defined]
     except ImportError:
-        from modinv import _core_py as _impl
+        pass
 
-rref = _impl.rref
-reduce_row = _impl.reduce_row
-convolve = _impl.convolve
+rref, reduce_row, convolve = _core_py.rref, _core_py.reduce_row, _core_py.convolve
+if _impl is not _core_py:
+
+    def rref(rows, p):
+        return (_impl if p < 2**31 else _core_py).rref(rows, p)
+
+    def reduce_row(v, basis, pivots, p):
+        return (_impl if p < 2**31 else _core_py).reduce_row(v, basis, pivots, p)
+
+    def convolve(a, b, p):
+        return (_impl if p < 2**31 else _core_py).convolve(a, b, p)
 
 
 def backend() -> str:

@@ -7,8 +7,8 @@ degree k is a generalized invariant of a reflection set S when every
 length-k composition of operators from S kills it. The homogeneous pieces
 of the generalized invariant ideal are computed by a per-degree dynamic
 program (f of degree d is generalized invariant iff every single operator
-sends it into the degree d-1 piece), cross-checked against the literal
-chain enumeration oracle in the tests.
+sends it into the degree d-1 piece: one ``fp_linalg.preimage``), checked
+against the literal chain enumeration oracle in the tests.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import Optional, Sequence
 
 from modinv.fp_arith import check_prime, inv_mod, lucas_binom
-from modinv.fp_linalg import Subspace, kernel
+from modinv.fp_linalg import Subspace, preimage
 from modinv.graded_ideal import GradedIdeal, default_degree_cap, degree_generators
 from modinv.grp2 import CapExceededError, Reflection
 from modinv.poly2 import (
@@ -159,8 +159,8 @@ class GenInvResult:
 def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     """Compute the generalized invariant ideal of a nonempty reflection set.
 
-    The degree-d piece is the joint kernel of all operators composed with
-    reduction modulo the degree d-1 piece. Scanning stops once two minimal
+    level(d) is the ``preimage`` of level(d-1) under every operator matrix
+    ``delta_slice_rows(op, d)``. Scanning stops once two minimal
     generators are found and the scan has reached the sum of their degrees;
     the regular sequence certificate is that exactly two minimal generators
     exist by then and the quotient vanishes in degree d1 + d2 - 1.
@@ -180,15 +180,8 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     def level(d: int) -> Subspace:
         while len(levels) <= d:
             e = len(levels)
-            prev = levels[e - 1]
-            constraint_rows: list[list[int]] = []
-            for op in ops:
-                imgs = [prev.reduce(list(row)) for row in delta_slice_rows(op, e)]
-                for j in range(e):
-                    row = [imgs[k][j] for k in range(e + 1)]
-                    if any(row):
-                        constraint_rows.append(row)
-            levels.append(kernel(constraint_rows, e + 1, p))
+            maps = [delta_slice_rows(op, e) for op in ops]
+            levels.append(preimage(p, e + 1, range(e + 1), maps, levels[e - 1]))
         return levels[d]
 
     gens: list[tuple[int, Poly2]] = []

@@ -2,7 +2,7 @@
 
 Everything is canonical: a subspace is stored as its reduced row echelon
 basis, so equality of subspaces is equality of matrices. Spans, sums,
-kernels and membership all reduce to the kernel primitives in
+kernels, preimages and membership all reduce to the kernel primitives in
 ``_kernels``.
 """
 
@@ -125,5 +125,24 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
         v[c] = 1
         for row, pc in zip(basis, pivots):
             v[pc] = (-row[c]) % p
+        vectors.append(v)
+    return Subspace.span(p, ncols, vectors)
+
+
+def preimage(p: int, ncols: int, coords: Sequence[int], maps, modulo: Subspace) -> Subspace:
+    """The vectors of F_p^ncols supported on ``coords`` whose image under
+    every map lies in ``modulo``; ``maps[i][k]`` is the image under map i
+    of the unit vector at ``coords[k]``. One kernel of the non-pivot columns
+    of the reduced images gives the coefficients, embedded back at coords."""
+    free = modulo.complement()
+    rows: list[list[int]] = []
+    for images in maps:
+        reduced = [modulo.reduce(v) for v in images]
+        rows += [[w[j] for w in reduced] for j in free]
+    vectors = []
+    for c in kernel(rows, len(coords), p).rows:
+        v = [0] * ncols
+        for k, x in zip(coords, c):
+            v[k] = x
         vectors.append(v)
     return Subspace.span(p, ncols, vectors)

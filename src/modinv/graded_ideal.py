@@ -17,8 +17,9 @@ Minimal generators are read off degree by degree by one extraction,
 P_1 * below, each scaled to leading coefficient 1. ``minimal_generators``
 runs it on an ideal's slices and ``demazure.generalized_ideal`` on its own
 levels. Membership, ideal equality, quotient dimensions and the monomial
-basis checks also live here, together with the fixed-subspace computation
-in the polynomial ring and in its quotients.
+basis checks also live here, together with ``invariant_slice``, the fixed
+subspace of a group in P or P/I: one ``fp_linalg.preimage`` of I_d under
+(action - 1), the question ``generalized_ideal`` asks of its operators.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from modinv.fp_arith import check_prime, inv_mod
-from modinv.fp_linalg import Subspace, kernel
+from modinv.fp_linalg import Subspace, preimage
 from modinv.grp2 import Mat2
 from modinv.poly2 import Poly2, act_matrix, poly_from_slice, slice_vector
 
@@ -218,29 +219,6 @@ def minimal_generators(ideal: GradedIdeal, through: Optional[int] = None) -> lis
 # -- fixed subspaces -----------------------------------------------------------
 
 
-def _apply_action(g: Mat2, v: Sequence[int], d: int) -> list[int]:
-    p = g.p
-    n = d + 1
-    if g.is_diagonal():
-        a, dd = g.a, g.d
-        return [v[k] * pow(a, d - k, p) * pow(dd, k, p) % p for k in range(n)]
-    mat = act_matrix(p, g.entries, d)
-    out = [0] * n
-    for k, c in enumerate(v):
-        if c:
-            row = mat[k]
-            out = [(x + c * y) % p for x, y in zip(out, row)]
-    return out
-
-
-def _left_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
-    # coefficient vectors c with sum_i c_i rows[i] = 0
-    k = len(rows)
-    n = len(rows[0]) if rows else 0
-    transposed = [[rows[i][j] for i in range(k)] for j in range(n)]
-    return [list(r) for r in kernel(transposed, k, p).rows]
-
-
 def invariant_slice(
     p: int,
     gens: Sequence[Mat2],
@@ -251,45 +229,29 @@ def invariant_slice(
     every generator, with quotient vectors lifted to canonical coset
     representatives.
 
-    Computed as the iterated kernel of (action - 1) restricted to the
-    running fixed space; diagonal generators are processed first since
-    their fixed spaces are coordinate subspaces.
+    Only the non-pivot coordinates of the modulo slice whose monomial
+    x^{d-k} y^k every diagonal generator diag(a, b) fixes (a^{d-k} b^k = 1)
+    are searched; reduction leaves their unit vectors alone, so this filter
+    is exact. The rest is one ``preimage`` of the modulo slice under
+    (action - 1) of the non-diagonal generators.
     """
     check_prime(p)
     for g in gens:
         if g.p != p:
             raise ValueError("prime mismatch among generators")
     n = d + 1
-    sl = None
-    if modulo is not None:
-        if modulo.p != p:
-            raise ValueError("prime mismatch with the quotient ideal")
-        sl = modulo.slice(d)
-        if sl.is_full:
-            return Subspace.zero(p, n)
-        basis = [[1 if k == c else 0 for k in range(n)] for c in sl.complement()]
-    else:
-        basis = [[1 if k == c else 0 for k in range(n)] for c in range(n)]
-    ordered = sorted(gens, key=lambda g: (not g.is_diagonal(), g.entries))
-    for g in ordered:
-        if not basis:
-            break
-        rows = []
-        for v in basis:
-            w = _apply_action(g, v, d)
-            if sl is not None:
-                w = sl.reduce(w)
-            rows.append([(a - b) % p for a, b in zip(w, v)])
-        coeffs = _left_kernel(rows, p)
-        new_basis = []
-        for c in coeffs:
-            vec = [0] * n
-            for ci, v in zip(c, basis):
-                if ci:
-                    vec = [(a + ci * b) % p for a, b in zip(vec, v)]
-            new_basis.append(vec)
-        basis = new_basis
-    return Subspace.span(p, n, basis)
+    if modulo is not None and modulo.p != p:
+        raise ValueError("prime mismatch with the quotient ideal")
+    sl = Subspace.zero(p, n) if modulo is None else modulo.slice(d)
+    coords = sl.complement()
+    for g in gens:
+        if g.is_diagonal():
+            coords = [k for k in coords if pow(g.a, d - k, p) * pow(g.d, k, p) % p == 1]
+    if not coords:
+        return Subspace.zero(p, n)
+    mats = [act_matrix(p, g.entries, d) for g in gens if not g.is_diagonal()]
+    maps = [[[(x - (j == k)) % p for j, x in enumerate(m[k])] for k in coords] for m in mats]
+    return preimage(p, n, coords, maps, sl)
 
 
 # -- monomial families and basis checks ------------------------------------------

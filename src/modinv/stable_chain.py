@@ -21,7 +21,7 @@ from modinv.graded_ideal import (
     invariant_slice,
     theta_family,
 )
-from modinv.grp2 import MatrixGroup, catalog_group
+from modinv.grp2 import Mat2, MatrixGroup, catalog_group
 from modinv.poly2 import Poly2, d1, delta, gamma, poly_from_slice
 
 
@@ -45,11 +45,18 @@ class StableChainResult:
         return self.ideals[-1]
 
 
+def _fixing_set(group: MatrixGroup) -> list[Mat2]:
+    """The generators and the diagonal elements of the group. They fix the
+    same polynomials as the generators alone, and ``invariant_slice`` turns
+    each diagonal one into a monomial filter ahead of its kernel."""
+    return list(group.generators) + [m for m in group if m.is_diagonal()]
+
+
 def compute_J1(group: MatrixGroup) -> GradedIdeal:
     """The ideal generated by the positive-degree invariants of the group,
     represented through its exact degree slices."""
     p = group.p
-    gens = list(group.generators)
+    gens = _fixing_set(group)
     cache: dict[int, object] = {}
 
     def source(e: int):
@@ -73,9 +80,10 @@ def next_ideal(ideal: GradedIdeal, group: MatrixGroup) -> tuple[GradedIdeal, lis
         raise InfiniteQuotientError(
             "the quotient is infinite-dimensional; the chain step is not defined here"
         )
+    gens = _fixing_set(group)
     new: list[Poly2] = []
     for d in range(1, top + 1):
-        fixed = invariant_slice(p, list(group.generators), d, modulo=ideal)
+        fixed = invariant_slice(p, gens, d, modulo=ideal)
         for v in fixed.rows:
             new.append(poly_from_slice(p, d, v))
     if not new:

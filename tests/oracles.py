@@ -1,12 +1,23 @@
 """Independent naive oracles for freezing expected values.
 
-Everything here is deliberately separate from the package internals:
-dense dict arithmetic over the integers reduced mod p at the end,
-substitution via explicit big-integer binomial expansion, and a literal
-long-division routine. Slow and obviously correct.
+Most of this is deliberately separate from the package internals: dense
+dict arithmetic over the integers reduced mod p at the end, substitution
+via explicit big-integer binomial expansion, and a literal long-division
+routine. Slow and obviously correct. The rest are the slow paths that
+faster library code replaced (the conjugator search, the shear division,
+the iterated fixed-subspace kernel), kept as references to compare with.
 """
 
+from __future__ import annotations
+
 from math import comb
+from typing import Optional, Sequence
+
+from modinv.fp_arith import check_prime
+from modinv.fp_linalg import Subspace, kernel
+from modinv.graded_ideal import GradedIdeal
+from modinv.grp2 import Mat2
+from modinv.poly2 import act_matrix
 
 
 def zpoly(terms=None):
@@ -159,3 +170,77 @@ def shear_div_linear(f, a, b, p):
     rem = {(i, j): c for (i, j), c in g.items() if i == 0}
     quot = {(i - 1, j): c for (i, j), c in g.items() if i}
     return zreduce(zsubstitute(quot, 1, 0, b, 1), p), zreduce(zsubstitute(rem, 1, 0, b, 1), p)
+
+
+def _apply_action(g: Mat2, v: Sequence[int], d: int) -> list[int]:
+    p = g.p
+    n = d + 1
+    if g.is_diagonal():
+        a, dd = g.a, g.d
+        return [v[k] * pow(a, d - k, p) * pow(dd, k, p) % p for k in range(n)]
+    mat = act_matrix(p, g.entries, d)
+    out = [0] * n
+    for k, c in enumerate(v):
+        if c:
+            row = mat[k]
+            out = [(x + c * y) % p for x, y in zip(out, row)]
+    return out
+
+
+def _left_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
+    # coefficient vectors c with sum_i c_i rows[i] = 0
+    k = len(rows)
+    n = len(rows[0]) if rows else 0
+    transposed = [[rows[i][j] for i in range(k)] for j in range(n)]
+    return [list(r) for r in kernel(transposed, k, p).rows]
+
+
+def iterated_invariant_slice(
+    p: int,
+    gens: Sequence[Mat2],
+    d: int,
+    modulo: Optional[GradedIdeal] = None,
+) -> Subspace:
+    """The subspace of the degree-d slice (of P, or of P/modulo) fixed by
+    every generator, with quotient vectors lifted to canonical coset
+    representatives.
+
+    Computed as the iterated kernel of (action - 1) restricted to the
+    running fixed space; diagonal generators are processed first since
+    their fixed spaces are coordinate subspaces.
+    """
+    check_prime(p)
+    for g in gens:
+        if g.p != p:
+            raise ValueError("prime mismatch among generators")
+    n = d + 1
+    sl = None
+    if modulo is not None:
+        if modulo.p != p:
+            raise ValueError("prime mismatch with the quotient ideal")
+        sl = modulo.slice(d)
+        if sl.is_full:
+            return Subspace.zero(p, n)
+        basis = [[1 if k == c else 0 for k in range(n)] for c in sl.complement()]
+    else:
+        basis = [[1 if k == c else 0 for k in range(n)] for c in range(n)]
+    ordered = sorted(gens, key=lambda g: (not g.is_diagonal(), g.entries))
+    for g in ordered:
+        if not basis:
+            break
+        rows = []
+        for v in basis:
+            w = _apply_action(g, v, d)
+            if sl is not None:
+                w = sl.reduce(w)
+            rows.append([(a - b) % p for a, b in zip(w, v)])
+        coeffs = _left_kernel(rows, p)
+        new_basis = []
+        for c in coeffs:
+            vec = [0] * n
+            for ci, v in zip(c, basis):
+                if ci:
+                    vec = [(a + ci * b) % p for a, b in zip(vec, v)]
+            new_basis.append(vec)
+        basis = new_basis
+    return Subspace.span(p, n, basis)

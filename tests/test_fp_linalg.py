@@ -1,10 +1,11 @@
 """Subspaces over F_p: echelon forms, kernels, sums and membership."""
 
+import itertools
 import random
 
 import pytest
 
-from modinv.fp_linalg import Subspace, echelon, kernel
+from modinv.fp_linalg import Subspace, echelon, kernel, preimage
 
 
 def random_subspace(rng, p, n, k):
@@ -49,6 +50,32 @@ def test_kernel_rank_nullity_and_annihilation():
         for v in ker.rows:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) % p == 0
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_preimage_matches_enumeration(p):
+    rng = random.Random(30 + p)
+    for _ in range(150):
+        n, m = rng.randrange(1, 5), rng.randrange(1, 5)
+        coords = rng.sample(range(n), rng.randrange(0, n + 1))
+        maps = [
+            [[rng.randrange(p) for _ in range(m)] for _ in coords]
+            for _ in range(rng.randrange(0, 3))
+        ]
+        modulo = random_subspace(rng, p, m, rng.randrange(0, m + 1))
+        found = []
+        for c in itertools.product(range(p), repeat=len(coords)):
+            if all(
+                modulo.contains([sum(x * w[j] for x, w in zip(c, images)) for j in range(m)])
+                for images in maps
+            ):
+                v = [0] * n
+                for k, x in zip(coords, c):
+                    v[k] = x
+                found.append(v)
+        got = preimage(p, n, coords, maps, modulo)
+        assert got == Subspace.span(p, n, found)
+        assert p**got.dim == len(found)
 
 
 def test_contains_examples():

@@ -20,9 +20,10 @@ from modinv.graded_ideal import (
     omega_family,
     theta_family,
 )
-from modinv.grp2 import catalog_group, omega_prime
+from modinv.grp2 import Mat2, catalog_group, omega_prime
 from modinv.poly2 import Poly2, parse_poly, slice_vector
-from modinv.stable_chain import compute_J1
+from modinv.stable_chain import compute_J1, stable_chain
+from oracles import iterated_invariant_slice
 
 
 def ideal(p, *texts):
@@ -129,6 +130,46 @@ def test_invariant_slice_in_quotient():
     assert fixed4.dim == 1
     # the canonical representative of the gamma_2 class
     assert fixed4.contains(j1.slice(4).reduce(slice_vector(poly2.gamma(p, 2), 4)))
+
+
+def _random_invertible(rng, p, diagonal):
+    while True:
+        a, d = rng.randrange(1, p), rng.randrange(1, p)
+        b, c = (0, 0) if diagonal else (rng.randrange(p), rng.randrange(p))
+        if (a * d - b * c) % p and (diagonal or b or c):
+            return Mat2(p, a, b, c, d)
+
+
+def _random_form(rng, p, d):
+    vec = [rng.randrange(p) for _ in range(d + 1)]
+    vec[rng.randrange(d + 1)] = rng.randrange(1, p)
+    return poly2.poly_from_slice(p, d, vec)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_invariant_slice_matches_iterated_oracle(p):
+    # catalog groups through top(J_1) + 1, in P and modulo J_1 and J_2
+    for r in divisors(p - 1):
+        groups = [catalog_group("L", p, r)] + [
+            catalog_group("U", p, r, s) for s in divisors(p - 1)
+        ]
+        for group in groups:
+            gens = list(group.generators)
+            ideals = stable_chain(group).ideals[:2]
+            for d in range(ideals[0].top_degree() + 2):
+                for modulo in [None] + ideals:
+                    assert invariant_slice(p, gens, d, modulo) == iterated_invariant_slice(
+                        p, gens, d, modulo
+                    )
+    # random diagonal and non-diagonal matrices, mostly not reflections, in
+    # P and modulo a random two-generator ideal
+    rng = random.Random(100 + p)
+    for _ in range(12):
+        gens = [_random_invertible(rng, p, rng.random() < 0.5) for _ in range(rng.randrange(1, 4))]
+        modulo = GradedIdeal(p, [_random_form(rng, p, rng.randrange(1, 5)) for _ in range(2)])
+        for d in range(9):
+            for m in (None, modulo):
+                assert invariant_slice(p, gens, d, m) == iterated_invariant_slice(p, gens, d, m)
 
 
 def test_j1_slices_match_direct_product_span():
