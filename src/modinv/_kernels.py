@@ -4,7 +4,8 @@ The compiled core is used when it was built; otherwise the pure Python
 reference takes over. Set MODINV_PURE=1 to force the pure backend (used by
 the benchmark and the backend-parity tests). The compiled core computes in
 C long, where a product of two residues overflows once p >= 2**31, so
-calls with such a prime go to the pure kernels.
+calls with such a prime go to the pure kernels, and so do convolutions with
+an empty operand, which the compiled core cannot allocate.
 """
 
 import os
@@ -28,7 +29,7 @@ if _impl is not _core_py:
         return (_impl if p < 2**31 else _core_py).reduce_row(v, basis, pivots, p)
 
     def convolve(a, b, p):
-        return (_impl if p < 2**31 else _core_py).convolve(a, b, p)
+        return (_impl if p < 2**31 and a and b else _core_py).convolve(a, b, p)
 
 
 def backend() -> str:

@@ -4,11 +4,17 @@ invariant ideal of a reflection set.
 For a reflection sigma with normalized form v, the operator sends f to
 (sigma(f) - f) / v; the division is always exact. A homogeneous f of
 degree k is a generalized invariant of a reflection set S when every
-length-k composition of operators from S kills it. The homogeneous pieces
-of the generalized invariant ideal are computed by a per-degree dynamic
-program (f of degree d is generalized invariant iff every single operator
-sends it into the degree d-1 piece: one ``fp_linalg.preimage``), checked
-against the literal chain enumeration oracle in the tests.
+length-k composition of operators from S kills it.
+
+Each operator is a twisted derivation, D(f g) = D(f) g + sigma(f) D(g), so
+its matrix on a degree slice is built from the one a degree below, and
+the generalized invariants form an ideal. The homogeneous pieces of that
+ideal are computed by a per-degree dynamic program: f of degree d is
+generalized invariant iff every single operator sends it into the degree
+d-1 piece. P_1 times the degree d-1 piece lies in the degree-d piece, so
+only the canonical representatives modulo that product are searched, with
+one ``fp_linalg.preimage``. The tests check the result against the literal
+chain enumeration and against the same program run over every coordinate.
 """
 
 from __future__ import annotations
@@ -18,18 +24,19 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
+from modinv import _kernels
 from modinv.fp_arith import check_prime, inv_mod, lucas_binom
 from modinv.fp_linalg import Subspace, preimage
-from modinv.graded_ideal import GradedIdeal, default_degree_cap, degree_generators
+from modinv.graded_ideal import GradedIdeal, _p1_rows, default_degree_cap
 from modinv.grp2 import CapExceededError, Reflection
 from modinv.poly2 import (
     LinearForm,
     Poly2,
     act,
-    act_matrix,
     divide_slice_by_form,
     div_exact_linear,
     gamma,
+    poly_from_slice,
 )
 
 
@@ -116,22 +123,36 @@ def chain(ops: Sequence[DemazureOp], f: Poly2) -> Poly2:
     return out
 
 
+# A cold call builds the degrees below it in blocks of this many, so it
+# never recurses deeper than one block.
+_ROWS_BLOCK = 64
+
+
 @lru_cache(maxsize=4096)
 def _delta_slice_rows(
     p: int, entries: tuple[int, int, int, int], form: tuple[int, int], scale: int, d: int
 ) -> tuple[tuple[int, ...], ...]:
-    # row k = slice vector (degree d-1) of the operator applied to x^{d-k} y^k
-    mat = act_matrix(p, entries, d)
+    # row k = slice vector (degree d-1) of the operator applied to x^{d-k} y^k,
+    # from degree d-1 by the twisted Leibniz rule D(l f) = sigma(l) D(f) + D(l) f
+    # with l = x and f = x^{d-1-k} y^k for k < d, and l = y, f = y^{d-1} for k = d
+    if d == 0:
+        return ((),)
+    a, b, c, dd = entries
     lf = LinearForm(p, form[0], form[1])
-    s_inv = inv_mod(scale, p) if scale != 1 else 1
-    rows = []
-    for k in range(d + 1):
-        diff = [(a - (1 if i == k else 0)) % p for i, a in enumerate(mat[k])]
-        q = divide_slice_by_form(diff, lf, p)
-        if s_inv != 1:
-            q = [x * s_inv % p for x in q]
-        rows.append(tuple(q))
-    return tuple(rows)
+    s_inv = inv_mod(scale, p)
+    dx = divide_slice_by_form([a - 1, c], lf, p)[0] * s_inv % p
+    dy = divide_slice_by_form([b, dd - 1], lf, p)[0] * s_inv % p
+    if d == 1:
+        return ((dx,), (dy,))
+    for e in range(_ROWS_BLOCK, d - 1, _ROWS_BLOCK):
+        _delta_slice_rows(p, entries, form, scale, e)
+    prev = _delta_slice_rows(p, entries, form, scale, d - 1)
+    rows = [_kernels.convolve(row, [a, c], p) for row in prev]
+    rows.append(_kernels.convolve(prev[d - 1], [b, dd], p))
+    for k in range(d):
+        rows[k][k] = (rows[k][k] + dx) % p
+    rows[d][d - 1] = (rows[d][d - 1] + dy) % p
+    return tuple(map(tuple, rows))
 
 
 def delta_slice_rows(op: DemazureOp, d: int) -> tuple[tuple[int, ...], ...]:
@@ -159,16 +180,20 @@ class GenInvResult:
 def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     """Compute the generalized invariant ideal of a nonempty reflection set.
 
-    level(d) is the ``preimage`` of level(d-1) under every operator matrix
-    ``delta_slice_rows(op, d)``. Scanning stops once two minimal
-    generators are found and the scan has reached the sum of their degrees;
-    the regular sequence certificate is that exactly two minimal generators
-    exist by then and the quotient vanishes in degree d1 + d2 - 1.
+    level(d), the degree-d piece, holds the f whose image under every
+    operator matrix ``delta_slice_rows(op, d)`` lies in level(d-1). The
+    generalized invariants form an ideal (D(x f) = sigma(x) D(f) + D(x) f),
+    so level(d) contains W = P_1 * level(d-1) and is W plus the canonical
+    representatives modulo W that it holds: one ``preimage`` over the
+    non-pivot coordinates of W. The echelon rows of that preimage, which
+    have leading coefficient 1, are the degree-d minimal generators.
 
-    The minimal generators are read off the levels themselves with
-    ``degree_generators``; the returned ideal takes the levels as its slice
-    source. Scanning through ``GradedIdeal.slice`` instead would re-span
-    every level.
+    Scanning stops once two minimal generators are found and the scan has
+    reached the sum of their degrees; the regular sequence certificate is
+    that exactly two minimal generators exist by then and the quotient
+    vanishes in degree d1 + d2 - 1. The ideal of a regular sequence is
+    returned by its two generators, whose slices are the levels in every
+    degree; otherwise the levels are its slice source.
     """
     ops = _as_ops(s)
     p = ops[0].p
@@ -176,18 +201,27 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
         cap = default_degree_cap(p)
 
     levels: list[Subspace] = [Subspace.zero(p, 1)]
+    found: list[tuple[tuple[int, ...], ...]] = [()]  # the preimage rows, by degree
 
     def level(d: int) -> Subspace:
         while len(levels) <= d:
             e = len(levels)
-            maps = [delta_slice_rows(op, e) for op in ops]
-            levels.append(preimage(p, e + 1, range(e + 1), maps, levels[e - 1]))
+            w = Subspace.span(p, e + 1, _p1_rows(levels[e - 1]))
+            coords = w.complement()
+            new = Subspace.zero(p, e + 1)
+            if coords:
+                mats = [delta_slice_rows(op, e) for op in ops]
+                maps = [[m[k] for k in coords] for m in mats]
+                new = preimage(p, e + 1, coords, maps, levels[e - 1])
+            levels.append(w.sum(new))
+            found.append(new.rows)
         return levels[d]
 
     gens: list[tuple[int, Poly2]] = []
     d = 1
     while d <= cap:
-        gens += [(d, g) for g in degree_generators(p, d, level(d - 1), level(d))]
+        level(d)
+        gens += [(d, poly_from_slice(p, d, v)) for v in found[d]]
         if len(gens) >= 2 and d >= gens[0][0] + gens[1][0]:
             break
         d += 1
@@ -199,7 +233,10 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     d1, d2 = gens[0][0], gens[1][0]
     quotient_vanishes = level(d1 + d2 - 1).is_full
     regular = quotient_vanishes and len(gens) == 2
-    ideal = GradedIdeal(p, [], slice_source=level)
+    if regular:
+        ideal = GradedIdeal(p, [g for _, g in gens])
+    else:
+        ideal = GradedIdeal(p, [], slice_source=level)
     top = d1 + d2 - 2 if regular else None
     return GenInvResult(ideal=ideal, generators=gens, regular_sequence=regular, top_degree=top)
 

@@ -10,13 +10,15 @@ degree bound). The degree-d slice is built exactly by the recursion
 
 which equals the sum over e <= d of P_{d-e} times the degree-e input and
 is therefore exact at every degree. The rows of P_1 * slice(d-1) come
-from one shift helper, ``_p1_rows``.
+from one shift helper, ``_p1_rows``, which ``demazure.generalized_ideal``
+also uses for its levels.
 
 Minimal generators are read off degree by degree by one extraction,
 ``degree_generators(p, d, below, cur)``: the echelon lifts of cur modulo
-P_1 * below, each scaled to leading coefficient 1. ``minimal_generators``
-runs it on an ideal's slices and ``demazure.generalized_ideal`` on its own
-levels. Membership, ideal equality, quotient dimensions and the monomial
+P_1 * below, each scaled to leading coefficient 1. It serves
+``minimal_generators`` only; ``generalized_ideal`` searches its levels
+modulo P_1 times the level below, so its generators come out of that
+search. Membership, ideal equality, quotient dimensions and the monomial
 basis checks also live here, together with ``invariant_slice``, the fixed
 subspace of a group in P or P/I: one ``fp_linalg.preimage`` of I_d under
 (action - 1), the question ``generalized_ideal`` asks of its operators.

@@ -45,7 +45,7 @@ class StableChainResult:
         return self.ideals[-1]
 
 
-def _fixing_set(group: MatrixGroup) -> list[Mat2]:
+def fixing_set(group: MatrixGroup) -> list[Mat2]:
     """The generators and the diagonal elements of the group. They fix the
     same polynomials as the generators alone, and ``invariant_slice`` turns
     each diagonal one into a monomial filter ahead of its kernel."""
@@ -56,7 +56,7 @@ def compute_J1(group: MatrixGroup) -> GradedIdeal:
     """The ideal generated by the positive-degree invariants of the group,
     represented through its exact degree slices."""
     p = group.p
-    gens = _fixing_set(group)
+    gens = fixing_set(group)
     cache: dict[int, object] = {}
 
     def source(e: int):
@@ -80,7 +80,7 @@ def next_ideal(ideal: GradedIdeal, group: MatrixGroup) -> tuple[GradedIdeal, lis
         raise InfiniteQuotientError(
             "the quotient is infinite-dimensional; the chain step is not defined here"
         )
-    gens = _fixing_set(group)
+    gens = fixing_set(group)
     new: list[Poly2] = []
     for d in range(1, top + 1):
         fixed = invariant_slice(p, gens, d, modulo=ideal)
@@ -146,10 +146,10 @@ def verify_basedos(p: int):
             )
         )
 
-        group = catalog_group("L", p, 1)
+        gens = fixing_set(catalog_group("L", p, 1))
         _, top = ideal_reduced.quotient_dims()
         no_invariants = all(
-            invariant_slice(p, list(group.generators), d, modulo=ideal_reduced).is_zero
+            invariant_slice(p, gens, d, modulo=ideal_reduced).is_zero
             for d in range(1, (top or 0) + 1)
         )
         rep.add(Check.boolean("item3_no_invariant_classes", no_invariants))

@@ -223,11 +223,12 @@ def _run_calculinvest(p: int) -> VerificationReport:
     with timed_report(p, "calculinvest") as rep:
         for r in divisors(p - 1):
             group = catalog_group("L", p, r)
+            gens = stable_chain.fixing_set(group)
             j1 = stable_chain.compute_J1(group)
             _, top = j1.quotient_dims()
             if r > 1:
                 empty = all(
-                    invariant_slice(p, list(group.generators), d, modulo=j1).is_zero
+                    invariant_slice(p, gens, d, modulo=j1).is_zero
                     for d in range(1, top + 1)
                 )
                 rep.add(Check.boolean(f"no_invariant_classes_r{r}", empty))
@@ -239,7 +240,7 @@ def _run_calculinvest(p: int) -> VerificationReport:
             expected.setdefault(p * p - 1, []).append(mu)
             ok = True
             for d in range(1, top + 1):
-                got = invariant_slice(p, list(group.generators), d, modulo=j1)
+                got = invariant_slice(p, gens, d, modulo=j1)
                 sl = j1.slice(d)
                 want_rows = [sl.reduce(slice_vector(f, d)) for f in expected.get(d, [])]
                 want = Subspace.span(p, d + 1, want_rows)

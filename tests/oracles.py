@@ -5,7 +5,9 @@ dict arithmetic over the integers reduced mod p at the end, substitution
 via explicit big-integer binomial expansion, and a literal long-division
 routine. Slow and obviously correct. The rest are the slow paths that
 faster library code replaced (the conjugator search, the shear division,
-the iterated fixed-subspace kernel), kept as references to compare with.
+the iterated fixed-subspace kernel, the operator rows from the action
+matrix, the generalized invariant levels searched over every coordinate),
+kept as references to compare with.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from modinv.fp_arith import check_prime
-from modinv.fp_linalg import Subspace, kernel
-from modinv.graded_ideal import GradedIdeal
+from modinv.fp_arith import check_prime, inv_mod
+from modinv.fp_linalg import Subspace, kernel, preimage
+from modinv.graded_ideal import GradedIdeal, degree_generators
 from modinv.grp2 import Mat2
-from modinv.poly2 import act_matrix
+from modinv.poly2 import act_matrix, divide_slice_by_form
 
 
 def zpoly(terms=None):
@@ -244,3 +246,33 @@ def iterated_invariant_slice(
             new_basis.append(vec)
         basis = new_basis
     return Subspace.span(p, n, basis)
+
+
+def substitution_delta_rows(op, d: int) -> tuple[tuple[int, ...], ...]:
+    """The matrix of a difference operator on the degree-d slice (row k =
+    the image of x^{d-k} y^k), as (action matrix - identity) divided row by
+    row by the operator's linear form and by its scale."""
+    p = op.p
+    mat = act_matrix(p, op.reflection.matrix.entries, d)
+    s_inv = inv_mod(op.scale, p)
+    rows = []
+    for k in range(d + 1):
+        diff = [(a - (1 if i == k else 0)) % p for i, a in enumerate(mat[k])]
+        q = divide_slice_by_form(diff, op.vsigma, p)
+        rows.append(tuple(x * s_inv % p for x in q))
+    return tuple(rows)
+
+
+def full_preimage_levels(ops, through: int):
+    """The levels of the generalized invariant ideal of the operators
+    through degree ``through``, each the preimage of the level below over
+    every coordinate, and the minimal generators read off them with
+    ``degree_generators``. Returns (levels, [(degree, generator)])."""
+    p = ops[0].p
+    levels = [Subspace.zero(p, 1)]
+    gens = []
+    for e in range(1, through + 1):
+        maps = [substitution_delta_rows(op, e) for op in ops]
+        levels.append(preimage(p, e + 1, range(e + 1), maps, levels[e - 1]))
+        gens += [(e, g) for g in degree_generators(p, e, levels[e - 1], levels[e])]
+    return levels, gens

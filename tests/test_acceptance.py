@@ -325,3 +325,25 @@ def test_criterion_14_classification_at_p31():
     elapsed = time.perf_counter() - started
     assert elapsed < 5.0, f"budget 5s exceeded: {elapsed:.2f}s"
     _announce(14, "classify at p = 31", started)
+
+
+def test_criterion_15_generalized_invariants_at_p11():
+    # genL and genU past p <= 7: L(1) and U(10, 10) at p = 11
+    started = time.perf_counter()
+    p = 11
+    cases = (
+        (catalog_generators("L", p, 1), [12, 110], _ideal(p, poly2.d1(p), poly2.delta(p))),
+        (
+            catalog_generators("U", p, 10, 10),
+            [10, 110],
+            _ideal(p, poly2.power(p, "x", 10), poly2.power(p, "y", 110)),
+        ),
+    )
+    for refl, degrees, expected in cases:
+        res = generalized_ideal(refl)
+        assert sorted(res.generator_degrees) == degrees
+        assert res.regular_sequence
+        assert ideal_equal(res.ideal, expected)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 10.0, f"budget 10s exceeded: {elapsed:.2f}s"
+    _announce(15, "genL/genU at p = 11", started)

@@ -1,24 +1,30 @@
 """Difference operators, generalized invariants, and the chain oracle."""
 
+import inspect
+import itertools
 import random
+import sys
 
 import pytest
 
-from modinv import poly2
+from modinv import demazure, poly2
 from modinv.demazure import (
     BudgetExceededError,
     DemazureOp,
     brute_force_is_gen_inv,
     chain,
     delta,
+    delta_slice_rows,
     generalized_ideal,
     verify_operadorsD,
 )
 from modinv.fp_arith import divisors
 from modinv.graded_ideal import GradedIdeal, ideal_equal, minimal_generators
 from modinv.grp2 import (
+    CapExceededError,
     Mat2,
     Reflection,
+    all_reflections,
     catalog_generators,
     catalog_group,
     generate_closure,
@@ -27,6 +33,7 @@ from modinv.grp2 import (
 )
 from modinv.poly2 import Poly2, parse_poly
 from modinv.stable_chain import compute_J1, stable_chain
+from oracles import full_preimage_levels, substitution_delta_rows
 
 
 def _omega_ops(p):
@@ -214,17 +221,83 @@ def test_sandwich_between_ordinary_and_stable(p):
                 assert jinf.slice(d).contains_subspace(gi_slice)
 
 
+def _catalog_sets(p):
+    sets = [catalog_generators("L", p, r) for r in divisors(p - 1)]
+    sets += [catalog_generators("U", p, r, s) for r in divisors(p - 1) for s in divisors(p - 1)]
+    return sets
+
+
+def _check_against_full_preimage(refl):
+    # the levels (read as the returned ideal's slices) and the generators
+    # through the end of the scan, against the recursion over every coordinate
+    res = generalized_ideal(refl)
+    d1, d2 = res.generator_degrees[:2]
+    levels, gens = full_preimage_levels([DemazureOp(r) for r in refl], d1 + d2)
+    assert [res.ideal.slice(d) for d in range(d1 + d2 + 1)] == levels
+    assert res.generators == gens
+    return res
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_levels_and_generators_match_full_preimage_oracle(p):
+    for refl in _catalog_sets(p):
+        _check_against_full_preimage(refl)
+
+
+def test_levels_and_generators_match_full_preimage_oracle_on_random_sets():
+    # every pair of reflections at p = 3 and seeded random pairs and triples
+    # at p = 5; some of them have two minimal generators in one degree
+    refls = {p: [Reflection(m) for m in all_reflections(p)] for p in (3, 5)}
+    rng = random.Random(11)
+    sets = [list(pair) for pair in itertools.combinations(refls[3], 2)]
+    sets += [rng.sample(refls[5], rng.choice([2, 3])) for _ in range(8)]
+    shared_degrees = 0
+    for refl in sets:
+        try:
+            res = _check_against_full_preimage(refl)
+        except CapExceededError:
+            continue
+        degrees = res.generator_degrees
+        shared_degrees += len(set(degrees)) < len(degrees)
+    assert shared_degrees > 0
+
+
 @pytest.mark.parametrize("p", [2, 3, 5])
 def test_generators_are_the_minimal_generators_of_the_ideal(p):
-    # the scan over the levels and minimal_generators over the returned
-    # ideal's slices give the same generators in the same degrees
-    sets = [("L", (r,)) for r in divisors(p - 1)]
-    sets += [("U", (r, s)) for r in divisors(p - 1) for s in divisors(p - 1)]
-    for kind, args in sets:
-        res = generalized_ideal(catalog_generators(kind, p, *args))
+    # minimal_generators over the oracle's levels gives the generators of
+    # the scan, in the same degrees and the same order
+    for refl in _catalog_sets(p):
+        res = generalized_ideal(refl)
         d1, d2 = res.generator_degrees[:2]
-        expected = [(g.degree(), g) for g in minimal_generators(res.ideal, through=d1 + d2)]
+        levels, _ = full_preimage_levels([DemazureOp(r) for r in refl], d1 + d2)
+        oracle = GradedIdeal(p, [], slice_source=levels.__getitem__)
+        expected = [(g.degree(), g) for g in minimal_generators(oracle, through=d1 + d2)]
         assert res.generators == expected
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_delta_slice_rows_match_substitution_oracle(p):
+    for m in all_reflections(p):
+        for scale in sorted({1, p - 1}):
+            op = DemazureOp(Reflection(m), scale)
+            for d in range(31):
+                assert delta_slice_rows(op, d) == substitution_delta_rows(op, d), (m, scale, d)
+
+
+def test_delta_slice_rows_cold_call_is_shallow():
+    # a cold call builds the degrees below it without recursing once per
+    # degree: at degree 150 it stays within 200 levels of the caller, where
+    # recursing once per degree takes about 300
+    op = DemazureOp(Reflection(omega(7)), 3)
+    d = 150
+    demazure._delta_slice_rows.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 200)
+    try:
+        rows = delta_slice_rows(op, d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rows == substitution_delta_rows(op, d)
 
 
 @pytest.mark.parametrize("p", [3, 5])

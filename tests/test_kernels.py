@@ -176,6 +176,13 @@ def test_kernels_are_exact_above_the_compiled_range(kernels):
     )
 
 
+
+def test_kernels_convolve_empty_operands(kernels):
+    # the compiled core allocates len(a) + len(b) - 1 entries, -1 here
+    assert kernels.convolve([], [], 7) == []
+    for a, b in (([], [3, 4]), ([5], [])):
+        assert kernels.convolve(a, b, 7) == _core_py.convolve(a, b, 7)
+
 @settings(deadline=None, max_examples=60)
 @given(
     data=st.data(),
