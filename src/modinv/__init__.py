@@ -7,7 +7,7 @@ verifies the whole statement catalog mechanically at small primes.
 
 from modinv._kernels import backend
 from modinv.fp_arith import FpScalar, binomial_sum_check, inv, lucas_binom, primitive_root
-from modinv.fp_linalg import Subspace, echelon, kernel
+from modinv.fp_linalg import Subspace, kernel
 from modinv.grp2 import (
     GroupClass,
     Mat2,
@@ -41,7 +41,6 @@ from modinv.graded_ideal import (
     gamma_family,
     ideal_equal,
     invariant_slice,
-    member,
     minimal_generators,
     omega_family,
     theta_family,

@@ -3,7 +3,9 @@
 Subcommands: verify (theorem checks), stable (invariant ideal chain),
 gen (generalized invariants of a reflection set), classify (conjugacy
 class of a matrix group), invariants (per-degree invariant bases).
-Exit codes: 0 all checks pass, 1 any check fails, 2 usage error.
+Exit codes: 0 all checks pass, 1 any check fails, 2 usage error or a
+computation stopped at a cap (the degree cap, MODINV_MAX_DEGREE, or the
+group closure cap).
 """
 
 from __future__ import annotations
@@ -15,8 +17,14 @@ from typing import Optional, Sequence
 
 from modinv import demazure, stable_chain, verify
 from modinv.fp_arith import check_prime
-from modinv.graded_ideal import invariant_slice, minimal_generators
-from modinv.grp2 import catalog_group, classify, generate_closure, parse_matrix_list
+from modinv.graded_ideal import InfiniteQuotientError, invariant_slice, minimal_generators
+from modinv.grp2 import (
+    CapExceededError,
+    catalog_group,
+    classify,
+    generate_closure,
+    parse_matrix_list,
+)
 from modinv.poly2 import format_poly, poly_from_slice
 
 
@@ -193,10 +201,7 @@ def cli_main(argv: Optional[Sequence[str]] = None) -> int:
         return int(exc.code or 0)
     try:
         return _COMMANDS[args.command](args)
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, InfiniteQuotientError, CapExceededError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

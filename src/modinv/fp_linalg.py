@@ -21,7 +21,7 @@ class Subspace:
 
     def __init__(self, p: int, ncols: int, rows, pivots, _canonical=False):
         if not _canonical:
-            raise TypeError("use Subspace.span / zero / full")
+            raise TypeError("use Subspace.span / zero")
         self.p = p
         self.ncols = ncols
         self.rows = rows
@@ -43,12 +43,6 @@ class Subspace:
     def zero(cls, p: int, ncols: int) -> "Subspace":
         check_prime(p)
         return cls(p, ncols, (), (), _canonical=True)
-
-    @classmethod
-    def full(cls, p: int, ncols: int) -> "Subspace":
-        check_prime(p)
-        rows = tuple(tuple(1 if j == i else 0 for j in range(ncols)) for i in range(ncols))
-        return cls(p, ncols, rows, tuple(range(ncols)), _canonical=True)
 
     @property
     def dim(self) -> int:
@@ -100,11 +94,6 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ncols={self.ncols}, dim={self.dim})"
-
-
-def echelon(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
-    """Canonical reduced row echelon span of the input rows."""
-    return Subspace.span(p, ncols, rows)
 
 
 def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:

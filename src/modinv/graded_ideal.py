@@ -39,11 +39,24 @@ from modinv.poly2 import Poly2, act_matrix, poly_from_slice, slice_vector
 
 def default_degree_cap(p: int) -> int:
     """Scan limit for quotient-dimension searches: 4 p^2, overridable via
-    the MODINV_MAX_DEGREE environment variable."""
+    the MODINV_MAX_DEGREE environment variable, which must then be a
+    positive integer."""
     env = os.environ.get("MODINV_MAX_DEGREE")
-    if env:
-        return int(env)
-    return 4 * p * p
+    if not env:
+        return 4 * p * p
+    try:
+        cap = int(env)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise ValueError(f"MODINV_MAX_DEGREE must be a positive integer, got {env!r}")
+    return cap
+
+
+def degree_cap_note(p: int) -> str:
+    """The degree cap in force at p and where it comes from, for messages."""
+    source = "MODINV_MAX_DEGREE" if os.environ.get("MODINV_MAX_DEGREE") else "4 p^2"
+    return f"degree cap {default_degree_cap(p)} at p = {p}, from {source}"
 
 
 class InfiniteQuotientError(RuntimeError):
@@ -166,14 +179,6 @@ class GradedIdeal:
         return f"GradedIdeal(p={self.p}, generators=[{gens}])"
 
 
-def ideal_slice(ideal: GradedIdeal, d: int) -> Subspace:
-    return ideal.slice(d)
-
-
-def member(ideal: GradedIdeal, f: Poly2) -> bool:
-    return ideal.member(f)
-
-
 def ideal_equal(a: GradedIdeal, b: GradedIdeal) -> bool:
     """True iff every generator of each ideal belongs to the other."""
     if a.p != b.p:
@@ -210,7 +215,10 @@ def minimal_generators(ideal: GradedIdeal, through: Optional[int] = None) -> lis
     if through is None:
         top = ideal.top_degree()
         if top is None:
-            raise InfiniteQuotientError("infinite quotient: pass an explicit degree bound")
+            raise InfiniteQuotientError(
+                f"infinite quotient below the {degree_cap_note(ideal.p)}: "
+                "pass an explicit degree bound"
+            )
         through = top + 1
     out: list[Poly2] = []
     for d in range(1, through + 1):

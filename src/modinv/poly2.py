@@ -3,7 +3,8 @@
 The ring F_p[x, y] with the GL_2(F_p) substitution action, exact division
 by linear forms, the named polynomials of the engine (delta, the two
 Dickson generators, the gamma family, the rho powers), degree-slice vector
-codecs, and the six-identity verifier.
+codecs, lex normal forms modulo a principal ideal, and the six-identity
+verifier.
 
 Action convention: a matrix A = [[a, b], [c, d]] substitutes the row
 vector (x, y) by (x, y) A, so x -> a x + c y and y -> b x + d y. Under
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from modinv import _kernels
 from modinv.fp_arith import check_prime, inv_mod
@@ -541,14 +542,115 @@ def format_poly(f: Poly2) -> str:
     return " + ".join(parts)
 
 
+# -- lex normal forms modulo a principal ideal ----------------------------------
+
+
+def lex_normal_forms(g: Poly2, d: int) -> list[dict[int, int]]:
+    """Lex (x > y) normal forms modulo (g) of the degree-d monomials.
+
+    g is a nonzero homogeneous form of degree k whose lex leading term
+    c x^a y^b is read from g itself. A single form is a Groebner basis of
+    the ideal it generates, so every degree-d polynomial f has a unique
+    normal form supported on the standard monomials x^s y^{d-s} (s < a or
+    s > d - b; k of them once d >= k - 1), the map is linear, and f lies in
+    (g)_d exactly when its normal form is zero.
+
+    Entry i is the normal form of x^i y^{d-i}, a sparse vector {s: coeff}
+    keyed by the x-exponent s of each standard monomial. A reducible
+    monomial (a <= i <= d - b) equals -c^{-1} x^{i-a} y^{d-i-b} (g - c x^a y^b),
+    whose monomials all have x-exponent below i, so one pass from high
+    y-exponent to low builds every entry from earlier ones, touching only
+    the nonzero terms of g.
+    """
+    if g.is_zero() or not g.is_homogeneous():
+        raise ValueError("normal forms need a nonzero homogeneous form")
+    p = g.p
+    a = max(i for i, _ in g.terms)
+    b = g.degree() - a
+    c_inv = inv_mod(g.terms[(a, b)], p)
+    tail = [(a - u, (p - c) * c_inv % p) for (u, _), c in g.terms.items() if u != a]
+    out = [{i: 1} for i in range(d + 1)]
+    for i in range(a, d - b + 1):
+        acc: dict[int, int] = {}
+        for shift, c in tail:
+            for s, w in out[i - shift].items():
+                acc[s] = acc.get(s, 0) + c * w
+        out[i] = {s: w % p for s, w in acc.items() if w % p}
+    return out
+
+
+def monomials_in_span_mod(
+    g: Poly2, d: int, units: Iterable[int], targets: Iterable[int]
+) -> list[bool]:
+    """For each i in targets, whether x^i y^{d-i} lies in
+    span(x^s y^{d-s} : s in units) + (g)_d.
+
+    The normal form is linear with kernel (g)_d, so this holds exactly when
+    the normal form of the target lies in the span of the normal forms of
+    the units: one sparse elimination over the standard monomials, each
+    basis row keyed by its largest x-exponent. When every basis row is a
+    single standard monomial (so for delta^r and the units s < rp), the
+    span is a coordinate subspace and the test is that every key of the
+    target is a unit key.
+    """
+    p = g.p
+    nfs = lex_normal_forms(g, d)
+    basis: dict[int, dict[int, int]] = {}
+
+    def reduce(v: dict[int, int]) -> dict[int, int]:
+        v = dict(v)
+        while v:
+            top = max(v)
+            row = basis.get(top)
+            if row is None:
+                break
+            c = v[top]
+            for s, w in row.items():
+                x = (v.get(s, 0) - c * w) % p
+                if x:
+                    v[s] = x
+                else:
+                    del v[s]
+        return v
+
+    for s in units:
+        v = reduce(nfs[s])
+        if v:
+            top = max(v)
+            c_inv = inv_mod(v[top], p)
+            basis[top] = {t: w * c_inv % p for t, w in v.items()}
+    if all(len(row) == 1 for row in basis.values()):
+        return [nfs[i].keys() <= basis.keys() for i in targets]
+    return [not reduce(nfs[i]) for i in targets]
+
+
 # -- the six-identity verifier ------------------------------------------------
 
 
 def verify_formules(p: int):
     """Check the six identities relating d1, d0, delta and the monomial
-    rewriting rules, as exact polynomial equalities and as slice-level
-    ideal membership. Returns a VerificationReport; p must exceed 2."""
-    from modinv import graded_ideal
+    rewriting rules. Returns a VerificationReport; p must exceed 2.
+
+    Items 1-4 are exact polynomial equalities. Items 5 and 6 are ideal
+    memberships, tested over every degree d <= 2 p^2 by lex (x > y) normal
+    forms (``lex_normal_forms``), one table per (r, d):
+
+    * item 5: x^i y^j - x^b y^{d-b} lies in (delta) exactly when the two
+      monomials have the same normal form;
+    * item 6: x^i y^{d-i} lies in span(x^s y^{d-s} : s < rp) + (delta^r)_d
+      exactly when its normal form lies in the span of the normal forms of
+      those units. The leading term of delta^r is x^{rp} y^r, so every unit
+      is a standard monomial and the test is that the normal form has no
+      term of x-degree >= rp.
+
+    Why the normal form decides membership: (1) {delta^r} is a Groebner
+    basis of (delta^r), since any nonzero h delta^r has leading term
+    LT(h) x^{rp} y^r; (2) so f - NF(f) lies in the ideal and NF(f) has no
+    term divisible by x^{rp} y^r; (3) a nonzero element of the ideal has a
+    term divisible by x^{rp} y^r, so NF vanishes exactly on the ideal, and
+    a combination of standard monomials lies in the ideal only when it is
+    zero.
+    """
     from modinv.report import Check, timed_report
 
     check_prime(p)
@@ -588,43 +690,24 @@ def verify_formules(p: int):
         )
         report.add(Check.equality("item4_d1_expansion", rhs4, dd1))
 
-        # items 5 and 6 are slice-level membership statements; the infinite
-        # quantifiers are tested over all (i, j) with i + j <= 2 p^2
+        # items 5 and 6 quantify over all monomials; they are tested over
+        # all (i, j) with i + j <= 2 p^2
         cap = 2 * p * p
-        ideal_delta = graded_ideal.GradedIdeal(p, [dl])
         ok5 = True
         for d in range(p + 1, cap + 1):
-            for i in range(p, d):
-                j = d - i
-                b = (i - 1) % (p - 1) + 1
-                f = Poly2(p, {(i, j): 1, (b, d - b): -1})
-                if not graded_ideal.member(ideal_delta, f):
-                    ok5 = False
-                    break
-            if not ok5:
+            nfs = lex_normal_forms(dl, d)
+            if any(nfs[i] != nfs[(i - 1) % (p - 1) + 1] for i in range(p, d)):
+                ok5 = False
                 break
         report.add(Check.boolean("item5_monomial_reduction_mod_delta", ok5))
 
         ok6 = True
         for r in range(1, p - 1):
-            ideal_r = graded_ideal.GradedIdeal(p, [dl**r])
-            for d in range(r, cap + 1):
-                if d <= r * p - 1 + r:
-                    continue  # every admissible monomial is already in the span
-                from modinv.fp_linalg import Subspace
-
-                units = [
-                    [1 if k == d - s else 0 for k in range(d + 1)]
-                    for s in range(min(r * p - 1, d) + 1)
-                ]
-                w = Subspace.span(p, d + 1, units).sum(graded_ideal.ideal_slice(ideal_r, d))
-                for i in range(r * p, d - r + 1):
-                    vec = [0] * (d + 1)
-                    vec[d - i] = 1
-                    if not w.contains(vec):
-                        ok6 = False
-                        break
-                if not ok6:
+            gr = dl**r
+            # below degree r p + r no monomial x^i y^j has i >= rp and j >= r
+            for d in range(r * p + r, cap + 1):
+                if not all(monomials_in_span_mod(gr, d, range(r * p), range(r * p, d - r + 1))):
+                    ok6 = False
                     break
             if not ok6:
                 break

@@ -17,6 +17,7 @@ from modinv.graded_ideal import (
     GradedIdeal,
     InfiniteQuotientError,
     basis_check,
+    degree_cap_note,
     ideal_equal,
     invariant_slice,
     theta_family,
@@ -78,7 +79,8 @@ def next_ideal(ideal: GradedIdeal, group: MatrixGroup) -> tuple[GradedIdeal, lis
     dims, top = ideal.quotient_dims()
     if top is None:
         raise InfiniteQuotientError(
-            "the quotient is infinite-dimensional; the chain step is not defined here"
+            f"the quotient is infinite-dimensional below the {degree_cap_note(p)}; "
+            "the chain step is not defined here"
         )
     gens = fixing_set(group)
     new: list[Poly2] = []

@@ -19,8 +19,10 @@ from modinv.fp_arith import binomial_sum_check, check_prime, divisors, primitive
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
     GradedIdeal,
+    InfiniteQuotientError,
     basis_check,
     complete_intersection_dims,
+    degree_cap_note,
     gamma_family,
     ideal_equal,
     invariant_slice,
@@ -226,6 +228,11 @@ def _run_calculinvest(p: int) -> VerificationReport:
             gens = stable_chain.fixing_set(group)
             j1 = stable_chain.compute_J1(group)
             _, top = j1.quotient_dims()
+            if top is None:
+                raise InfiniteQuotientError(
+                    f"the J_1 quotient of L({r}) is infinite-dimensional below the "
+                    f"{degree_cap_note(p)}"
+                )
             if r > 1:
                 empty = all(
                     invariant_slice(p, gens, d, modulo=j1).is_zero

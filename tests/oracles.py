@@ -6,8 +6,9 @@ via explicit big-integer binomial expansion, and a literal long-division
 routine. Slow and obviously correct. The rest are the slow paths that
 faster library code replaced (the conjugator search, the shear division,
 the iterated fixed-subspace kernel, the operator rows from the action
-matrix, the generalized invariant levels searched over every coordinate),
-kept as references to compare with.
+matrix, the generalized invariant levels searched over every coordinate,
+the dense slices behind formules items 5 and 6), kept as references to
+compare with.
 """
 
 from __future__ import annotations
@@ -276,3 +277,19 @@ def full_preimage_levels(ops, through: int):
         levels.append(preimage(p, e + 1, range(e + 1), maps, levels[e - 1]))
         gens += [(e, g) for g in degree_generators(p, e, levels[e - 1], levels[e])]
     return levels, gens
+
+
+def slice_span_verdicts(ideal: GradedIdeal, d: int, units, targets) -> list[bool]:
+    """For each i in targets, whether x^i y^{d-i} lies in
+    span(x^s y^{d-s} : s in units) + I_d, from the dense slice I_d of the
+    ideal and one RREF together with the unit vectors (the slice path of
+    formules item 6)."""
+    p = ideal.p
+    unit_rows = [[1 if k == d - s else 0 for k in range(d + 1)] for s in units]
+    w = Subspace.span(p, d + 1, unit_rows).sum(ideal.slice(d))
+    out = []
+    for i in targets:
+        vec = [0] * (d + 1)
+        vec[d - i] = 1
+        out.append(w.contains(vec))
+    return out

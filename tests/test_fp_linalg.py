@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from modinv.fp_linalg import Subspace, echelon, kernel, preimage
+from modinv.fp_linalg import Subspace, kernel, preimage
 
 
 def random_subspace(rng, p, n, k):
@@ -14,11 +14,11 @@ def random_subspace(rng, p, n, k):
 
 
 def test_echelon_examples():
-    s = echelon([[1, 1], [2, 2]], 2, 3)
+    s = Subspace.span(3, 2, [[1, 1], [2, 2]])
     assert s.rows == ((1, 1),)
-    z = echelon([], 4, 3)
+    z = Subspace.span(3, 4, [])
     assert z.dim == 0 and z.is_zero
-    s = echelon([[0, 1, 0], [1, 0, 2]], 3, 5)
+    s = Subspace.span(5, 3, [[0, 1, 0], [1, 0, 2]])
     assert s.rows == ((1, 0, 2), (0, 1, 0))
 
 

@@ -11,11 +11,10 @@ from modinv.graded_ideal import (
     GradedIdeal,
     basis_check,
     complete_intersection_dims,
+    default_degree_cap,
     gamma_family,
     ideal_equal,
-    ideal_slice,
     invariant_slice,
-    member,
     minimal_generators,
     omega_family,
     theta_family,
@@ -33,31 +32,31 @@ def ideal(p, *texts):
 def test_ideal_slice_examples():
     p = 3
     i1 = ideal(p, "x", "y^6")
-    s = ideal_slice(i1, 2)
+    s = i1.slice(2)
     assert s.dim == 2  # x^2 and x*y
     assert s.contains(slice_vector(parse_poly("x^2", p), 2))
     assert s.contains(slice_vector(parse_poly("x*y", p), 2))
-    assert ideal_slice(i1, 0).is_zero
+    assert i1.slice(0).is_zero
     i2 = GradedIdeal(p, [poly2.d1(p), poly2.delta(p)])
-    s4 = ideal_slice(i2, 4)
+    s4 = i2.slice(4)
     assert s4.dim == 1
     assert s4.contains(slice_vector(poly2.delta(p), 4))
 
 
 def test_member_examples():
     p = 3
-    assert not member(ideal(p, "x", "y^6"), parse_poly("y^2", p))
-    assert member(ideal(p, "x", "y^2"), parse_poly("y^2", p))
+    assert not ideal(p, "x", "y^6").member(parse_poly("y^2", p))
+    assert ideal(p, "x", "y^2").member(parse_poly("y^2", p))
     big = GradedIdeal(p, [poly2.d1(p), poly2.delta(p), poly2.gamma(p, 2)])
-    assert member(big, parse_poly("x^2*y^4", p))
+    assert big.member(parse_poly("x^2*y^4", p))
 
 
 def test_member_componentwise():
     p = 5
     i = ideal(p, "x")
-    assert member(i, parse_poly("x^2 + x*y", p))
-    assert not member(i, parse_poly("x^2 + y", p))
-    assert member(i, Poly2.zero(p))
+    assert i.member(parse_poly("x^2 + x*y", p))
+    assert not i.member(parse_poly("x^2 + y", p))
+    assert i.member(Poly2.zero(p))
 
 
 def test_ideal_equal_examples():
@@ -280,6 +279,13 @@ def test_degree_cap_env_override(monkeypatch):
     monkeypatch.setenv("MODINV_MAX_DEGREE", "9")
     dims, top = i.quotient_dims()
     assert top is None and len(dims) == 10
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_degree_cap_env_rejects_invalid(monkeypatch, value):
+    monkeypatch.setenv("MODINV_MAX_DEGREE", value)
+    with pytest.raises(ValueError, match="MODINV_MAX_DEGREE"):
+        default_degree_cap(3)
 
 
 def test_concurrent_slice_readers():

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv import poly2
+from modinv.graded_ideal import GradedIdeal
 from modinv.grp2 import Mat2, diag, omega, omega_prime
 from modinv.poly2 import (
     LinearForm,
@@ -22,7 +23,17 @@ from modinv.poly2 import (
     poly_from_slice,
     slice_vector,
 )
-from oracles import same_poly, shear_div_linear, zdivide, zmul, zpow, zreduce, zsub, zsubstitute
+from oracles import (
+    same_poly,
+    shear_div_linear,
+    slice_span_verdicts,
+    zdivide,
+    zmul,
+    zpow,
+    zreduce,
+    zsub,
+    zsubstitute,
+)
 
 PRIMES = [2, 3, 5, 7]
 
@@ -311,6 +322,58 @@ def test_verify_formules_passes(p):
 def test_verify_formules_rejects_p2():
     with pytest.raises(ValueError):
         poly2.verify_formules(2)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_formules_items_5_6_match_slice_oracle(p):
+    # every monomial of every degree the items visit, not only the ones they
+    # check, so that failing memberships are compared too
+    dl = poly2.delta(p)
+    cap = 2 * p * p
+    seen = set()
+    ideal = GradedIdeal(p, [dl])
+    for d in range(p + 1, cap + 1):
+        nfs = poly2.lex_normal_forms(dl, d)
+        for i in range(d + 1):
+            b = (i - 1) % (p - 1) + 1
+            f = Poly2.monomial(p, 1, i, d - i) - Poly2.monomial(p, 1, b, d - b)
+            verdict = nfs[i] == nfs[b]
+            assert verdict == ideal.member(f), (d, i)
+            seen.add(verdict)
+    for r in range(1, p - 1):
+        gr = dl**r
+        ideal_r = GradedIdeal(p, [gr])
+        for d in range(r * p + r, cap + 1):
+            units, targets = range(r * p), range(d + 1)
+            verdicts = poly2.monomials_in_span_mod(gr, d, units, targets)
+            assert verdicts == slice_span_verdicts(ideal_r, d, units, targets), (r, d)
+            seen.update(verdicts)
+    assert seen == {True, False}
+
+
+def test_normal_forms_match_slice_oracle_on_random_forms():
+    rng = random.Random(6)
+    seen = set()
+    for _ in range(60):
+        p = rng.choice(PRIMES)
+        k = rng.randrange(1, 7)
+        a = rng.randrange(k + 1)  # the x-exponent of the leading term
+        terms = {(a, k - a): rng.randrange(1, p)}
+        terms.update(((u, k - u), rng.randrange(p)) for u in range(a) if rng.random() < 0.5)
+        g = Poly2(p, terms)
+        ideal = GradedIdeal(p, [g])
+        for d in range(max(0, k - 2), k + 7):
+            nfs = poly2.lex_normal_forms(g, d)
+            for i, nf in enumerate(nfs):
+                # congruent to its monomial and supported on standard monomials
+                assert all(s < a or s > d - (k - a) for s in nf)
+                rest = Poly2(p, {(s, d - s): c for s, c in nf.items()})
+                assert ideal.member(Poly2.monomial(p, 1, i, d - i) - rest)
+            units = [s for s in range(d + 1) if rng.random() < 0.3]
+            verdicts = poly2.monomials_in_span_mod(g, d, units, range(d + 1))
+            assert verdicts == slice_span_verdicts(ideal, d, units, range(d + 1)), (g, d, units)
+            seen.update(verdicts)
+    assert seen == {True, False}
 
 
 # -- misc ----------------------------------------------------------------------

@@ -99,6 +99,26 @@ def test_cli_rejects_unknown_theorem():
     assert cli.cli_main(["verify", "--prime", "3", "--theorem", "bogus"]) == 2
 
 
+def test_cli_degree_cap_refusal_exit2(monkeypatch, capsys):
+    monkeypatch.setenv("MODINV_MAX_DEGREE", "5")
+    for target in ("stableL", "calculinvest"):
+        assert cli.cli_main(["verify", "--prime", "3", "--theorem", target]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "degree cap 5" in err and "MODINV_MAX_DEGREE" in err
+    monkeypatch.setenv("MODINV_MAX_DEGREE", "2")
+    assert cli.cli_main(["gen", "--prime", "3", "--reflections", "1,1;0,2 1,0;0,2"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "through degree 2" in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_cli_invalid_degree_cap_exit2(monkeypatch, capsys, value):
+    monkeypatch.setenv("MODINV_MAX_DEGREE", value)
+    assert cli.cli_main(["stable", "--prime", "3", "--group", "L:1"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: MODINV_MAX_DEGREE must be a positive integer")
+
+
 def test_cli_usage_error_exit2(capsys):
     assert cli.cli_main(["frobnicate"]) == 2
     assert cli.cli_main([]) == 2
@@ -191,6 +211,33 @@ def test_mutation_formules(monkeypatch):
     monkeypatch.setattr(poly2, "d1", bad_d1)
     (rep,) = run_verification([3], ["formules"])
     assert rep.status == "fail"
+
+
+def _formules_with_generator(monkeypatch, perturb):
+    # items 5 and 6 see delta^r only through its normal forms
+    original = poly2.lex_normal_forms
+    monkeypatch.setattr(poly2, "lex_normal_forms", lambda g, d: original(perturb(g), d))
+    (rep,) = run_verification([3], ["formules"])
+    return {c.name: c.status for c in rep.checks}
+
+
+def test_mutation_formules_wrong_tail_term(monkeypatch):
+    def doubled_tail(g):
+        key = min(g.terms)  # the term of least x-degree, never the leading one
+        return g + poly2.Poly2.monomial(g.p, g.terms[key], *key)
+
+    statuses = _formules_with_generator(monkeypatch, doubled_tail)
+    assert statuses["item5_monomial_reduction_mod_delta"] == "fail"
+
+
+def test_mutation_formules_wrong_leading_term(monkeypatch):
+    def raised_lead(g):
+        p = g.p
+        r = g.degree() // (p + 1)
+        return g + poly2.Poly2.monomial(p, 1, r * p + 1, r - 1)
+
+    statuses = _formules_with_generator(monkeypatch, raised_lead)
+    assert statuses["item6_monomial_span_mod_delta_power"] == "fail"
 
 
 def test_mutation_stableU(monkeypatch):
