@@ -590,8 +590,10 @@ def monomials_in_span_mod(
     the units: one sparse elimination over the standard monomials, each
     basis row keyed by its largest x-exponent. When every basis row is a
     single standard monomial (so for delta^r and the units s < rp), the
-    span is a coordinate subspace and the test is that every key of the
-    target is a unit key.
+    span is a coordinate subspace: the elimination would then remove the
+    target's keys one at a time, and the same verdict is read off at once
+    as "every key of the target is a unit key". That reading takes about a
+    fifth off ``verify_formules`` at p = 11 and 13 (pure Python).
     """
     p = g.p
     nfs = lex_normal_forms(g, d)
