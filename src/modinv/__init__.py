@@ -46,7 +46,6 @@ from modinv.graded_ideal import (
     theta_family,
 )
 from modinv.demazure import (
-    DemazureOp,
     GenInvResult,
     brute_force_is_gen_inv,
     chain,

@@ -2,9 +2,11 @@
 invariant ideal of a reflection set.
 
 For a reflection sigma with normalized form v, the operator sends f to
-(sigma(f) - f) / v; the division is always exact. A homogeneous f of
-degree k is a generalized invariant of a reflection set S when every
-length-k composition of operators from S kills it.
+(sigma(f) - f) / v; the division is always exact. An operator is named
+by its reflection: the functions here take a ``Reflection`` or its
+``Mat2``. A homogeneous f of degree k is a generalized invariant of a
+reflection set S when every length-k composition of operators from S
+kills it.
 
 Each operator is a twisted derivation, D(f g) = D(f) g + sigma(f) D(g), so
 its matrix on a degree slice is built from the one a degree below, and
@@ -28,7 +30,7 @@ from modinv import _kernels
 from modinv.fp_arith import check_prime, inv_mod, lucas_binom
 from modinv.fp_linalg import Subspace, preimage
 from modinv.graded_ideal import GradedIdeal, _p1_rows, default_degree_cap
-from modinv.grp2 import CapExceededError, Reflection
+from modinv.grp2 import CapExceededError, Mat2, Reflection, omega, omega_prime
 from modinv.poly2 import (
     LinearForm,
     Poly2,
@@ -44,76 +46,31 @@ class BudgetExceededError(RuntimeError):
     pass
 
 
-class DemazureOp:
-    """The degree -1 operator f -> (sigma(f) - f) / v of a reflection.
-
-    ``scale`` rescales the chosen v by a nonzero constant; the operator
-    changes by the inverse constant and everything downstream (kernels,
-    generalized invariants) is unchanged, which the tests exercise.
-    """
-
-    __slots__ = ("reflection", "scale")
-
-    def __init__(self, reflection: Reflection, scale: int = 1):
-        p = reflection.p
-        if scale % p == 0:
-            raise ValueError("v rescaling must be nonzero")
-        object.__setattr__(self, "reflection", reflection)
-        object.__setattr__(self, "scale", scale % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DemazureOp is immutable")
-
-    @property
-    def p(self) -> int:
-        return self.reflection.p
-
-    @property
-    def vsigma(self) -> LinearForm:
-        return self.reflection.vsigma
-
-    def __eq__(self, other):
-        if not isinstance(other, DemazureOp):
-            return NotImplemented
-        return (self.reflection, self.scale) == (other.reflection, other.scale)
-
-    def __hash__(self):
-        return hash((self.reflection, self.scale))
-
-    def __repr__(self):
-        return f"DemazureOp({self.reflection!r})"
+def _reflection(item: Reflection | Mat2) -> Reflection:
+    return item if isinstance(item, Reflection) else Reflection(item)
 
 
-def _as_ops(s: Sequence) -> list[DemazureOp]:
-    ops = []
-    for item in s:
-        if isinstance(item, DemazureOp):
-            ops.append(item)
-        elif isinstance(item, Reflection):
-            ops.append(DemazureOp(item))
-        else:
-            ops.append(DemazureOp(Reflection(item)))
-    if not ops:
+def _reflections(s: Sequence[Reflection | Mat2]) -> list[Reflection]:
+    refl = [_reflection(item) for item in s]
+    if not refl:
         raise ValueError("need at least one reflection")
-    p = ops[0].p
-    for op in ops:
-        if op.p != p:
+    p = refl[0].p
+    for r in refl:
+        if r.p != p:
             raise ValueError("prime mismatch among reflections")
-    return ops
+    return refl
 
 
-def delta(op: DemazureOp, f: Poly2) -> Poly2:
-    """Apply the operator; drops homogeneous degree by one."""
+def delta(op: Reflection | Mat2, f: Poly2) -> Poly2:
+    """Apply the operator of a reflection (a ``Reflection`` or its
+    ``Mat2``); drops homogeneous degree by one."""
+    op = _reflection(op)
     if op.p != f.p:
         raise ValueError("prime mismatch")
-    diff = act(op.reflection.matrix, f) - f
-    q = div_exact_linear(diff, op.vsigma)
-    if op.scale != 1:
-        q = q.scale(inv_mod(op.scale, f.p))
-    return q
+    return div_exact_linear(act(op.matrix, f) - f, op.vsigma)
 
 
-def chain(ops: Sequence[DemazureOp], f: Poly2) -> Poly2:
+def chain(ops: Sequence[Reflection | Mat2], f: Poly2) -> Poly2:
     """Left-to-right composition: chain([s1, s2], f) = D_{s1}(D_{s2}(f))."""
     out = f
     for op in reversed(list(ops)):
@@ -130,7 +87,7 @@ _ROWS_BLOCK = 64
 
 @lru_cache(maxsize=4096)
 def _delta_slice_rows(
-    p: int, entries: tuple[int, int, int, int], form: tuple[int, int], scale: int, d: int
+    p: int, entries: tuple[int, int, int, int], form: tuple[int, int], d: int
 ) -> tuple[tuple[int, ...], ...]:
     # row k = slice vector (degree d-1) of the operator applied to x^{d-k} y^k,
     # from degree d-1 by the twisted Leibniz rule D(l f) = sigma(l) D(f) + D(l) f
@@ -139,14 +96,13 @@ def _delta_slice_rows(
         return ((),)
     a, b, c, dd = entries
     lf = LinearForm(p, form[0], form[1])
-    s_inv = inv_mod(scale, p)
-    dx = divide_slice_by_form([a - 1, c], lf, p)[0] * s_inv % p
-    dy = divide_slice_by_form([b, dd - 1], lf, p)[0] * s_inv % p
+    dx = divide_slice_by_form([a - 1, c], lf, p)[0]
+    dy = divide_slice_by_form([b, dd - 1], lf, p)[0]
     if d == 1:
         return ((dx,), (dy,))
     for e in range(_ROWS_BLOCK, d - 1, _ROWS_BLOCK):
-        _delta_slice_rows(p, entries, form, scale, e)
-    prev = _delta_slice_rows(p, entries, form, scale, d - 1)
+        _delta_slice_rows(p, entries, form, e)
+    prev = _delta_slice_rows(p, entries, form, d - 1)
     rows = [_kernels.convolve(row, [a, c], p) for row in prev]
     rows.append(_kernels.convolve(prev[d - 1], [b, dd], p))
     for k in range(d):
@@ -155,11 +111,13 @@ def _delta_slice_rows(
     return tuple(map(tuple, rows))
 
 
-def delta_slice_rows(op: DemazureOp, d: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the operator on the degree-d slice (row k = image of the
-    k-th basis monomial, as a degree d-1 slice vector)."""
+def delta_slice_rows(op: Reflection | Mat2, d: int) -> tuple[tuple[int, ...], ...]:
+    """Matrix of the operator of a reflection (a ``Reflection`` or its
+    ``Mat2``) on the degree-d slice (row k = image of the k-th basis
+    monomial, as a degree d-1 slice vector)."""
+    op = _reflection(op)
     lf = op.vsigma
-    return _delta_slice_rows(op.p, op.reflection.matrix.entries, (lf.a, lf.b), op.scale, d)
+    return _delta_slice_rows(op.p, op.matrix.entries, (lf.a, lf.b), d)
 
 
 @dataclass
@@ -195,7 +153,7 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     returned by its two generators, whose slices are the levels in every
     degree; otherwise the levels are its slice source.
     """
-    ops = _as_ops(s)
+    ops = _reflections(s)
     p = ops[0].p
     if cap is None:
         cap = default_degree_cap(p)
@@ -243,7 +201,7 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
 
 def brute_force_is_gen_inv(s: Sequence, f: Poly2, budget: int = 10**6) -> bool:
     """Literal enumeration oracle: check every chain of length deg(f)."""
-    ops = _as_ops(s)
+    ops = _reflections(s)
     if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
         raise ValueError("need a nonzero homogeneous polynomial of positive degree")
     k = f.degree()
@@ -258,19 +216,7 @@ def brute_force_is_gen_inv(s: Sequence, f: Poly2, budget: int = 10**6) -> bool:
 # -- the operator identity verifier -------------------------------------------
 
 
-def _omega_op(p: int) -> DemazureOp:
-    from modinv.grp2 import omega
-
-    return DemazureOp(Reflection(omega(p)))
-
-
-def _omega_prime_op(p: int) -> DemazureOp:
-    from modinv.grp2 import omega_prime
-
-    return DemazureOp(Reflection(omega_prime(p)))
-
-
-def _iterate(op: DemazureOp, f: Poly2, times: int) -> Poly2:
+def _iterate(op: Reflection, f: Poly2, times: int) -> Poly2:
     out = f
     for _ in range(times):
         out = delta(op, out)
@@ -289,8 +235,8 @@ def verify_operadorsD(p: int):
     from modinv.report import Check, timed_report
 
     check_prime(p)
-    dop = _omega_op(p)
-    dbar = _omega_prime_op(p)
+    dop = Reflection(omega(p))
+    dbar = Reflection(omega_prime(p))
     xv, yv = x_var(p), y_var(p)
 
     with timed_report(p, "operadorsD") as rep:

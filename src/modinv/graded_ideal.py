@@ -18,10 +18,18 @@ Minimal generators are read off degree by degree by one extraction,
 P_1 * below, each scaled to leading coefficient 1. It serves
 ``minimal_generators`` only; ``generalized_ideal`` searches its levels
 modulo P_1 times the level below, so its generators come out of that
-search. Membership, ideal equality, quotient dimensions and the monomial
-basis checks also live here, together with ``invariant_slice``, the fixed
-subspace of a group in P or P/I: one ``fp_linalg.preimage`` of I_d under
-(action - 1), the question ``generalized_ideal`` asks of its operators.
+search.
+
+The slices are canonical (reduced echelon), so two ideals are equal iff
+their slices agree through a degree in which both are generated
+(``ideal_equal``): the top generator degree, or top_degree() + 1 for an
+ideal with a slice source. ``GradedIdeal.top_degree`` is the one place that
+refuses a quotient with no zero dimension below the degree cap
+(``InfiniteQuotientError``); every caller that needs a finite quotient goes
+through it. Membership, quotient dimensions and the monomial basis checks
+also live here, together with ``invariant_slice``, the fixed subspace of a
+group in P or P/I: one ``fp_linalg.preimage`` of I_d under (action - 1),
+the question ``generalized_ideal`` asks of its operators.
 """
 
 from __future__ import annotations
@@ -140,52 +148,58 @@ class GradedIdeal:
                 return False
         return True
 
-    def quotient_dims(self, dmax: Optional[int] = None) -> tuple[list[int], Optional[int]]:
+    def quotient_dims(self) -> tuple[list[int], Optional[int]]:
         """Per-degree dimensions of P/I up to the first zero.
 
         Returns (dims, topdeg); topdeg is None when no zero dimension was
         found below the cap (the quotient is then infinite-dimensional, by
         the saturation property).
         """
-        if dmax is None and self._dims_cache is not None:
+        if self._dims_cache is not None:
             return self._dims_cache
-        cap = dmax if dmax is not None else default_degree_cap(self.p)
         dims: list[int] = []
-        for d in range(cap + 1):
+        for d in range(default_degree_cap(self.p) + 1):
             q = (d + 1) - self.slice(d).dim
             if q == 0:
-                result = (dims, d - 1)
-                if dmax is None:
-                    self._dims_cache = result
-                return result
+                self._dims_cache = (dims, d - 1)
+                return self._dims_cache
             dims.append(q)
         # a None topdeg depends on the cap in force, so only finite results
         # are cached
         return (dims, None)
 
-    def top_degree(self) -> Optional[int]:
-        return self.quotient_dims()[1]
-
-    def generating_polys(self) -> list[Poly2]:
-        """A finite generating set: the explicit generators when the ideal
-        has no slice source, otherwise the minimal generators extracted
-        from the slices (requires a finite quotient)."""
-        if self.slice_source is None:
-            return list(self.generators)
-        return minimal_generators(self)
+    def top_degree(self) -> int:
+        """The last degree in which P/I is nonzero. An infinite quotient,
+        or one whose first zero lies above the degree cap, is refused."""
+        top = self.quotient_dims()[1]
+        if top is None:
+            raise InfiniteQuotientError(
+                f"P/I has no zero degree through the {degree_cap_note(self.p)}: "
+                "the quotient is infinite-dimensional or the cap is too low"
+            )
+        return top
 
     def __repr__(self):
         gens = ", ".join(str(g) for g in self.generators) or "<slice source>"
         return f"GradedIdeal(p={self.p}, generators=[{gens}])"
 
 
+def _generation_degree(ideal: GradedIdeal) -> int:
+    # a degree through which the ideal is generated: its top generator
+    # degree, or with a slice source top_degree() + 1, where the slice is
+    # full, as is every slice above it
+    if ideal.slice_source is None:
+        return max((g.degree() for g in ideal.generators), default=0)
+    return ideal.top_degree() + 1
+
+
 def ideal_equal(a: GradedIdeal, b: GradedIdeal) -> bool:
-    """True iff every generator of each ideal belongs to the other."""
+    """True iff the canonical slices agree through a degree in which both
+    ideals are generated; each then contains the other's generators."""
     if a.p != b.p:
         raise ValueError("prime mismatch")
-    return all(b.member(g) for g in a.generating_polys()) and all(
-        a.member(g) for g in b.generating_polys()
-    )
+    through = max(_generation_degree(a), _generation_degree(b))
+    return all(a.slice(d) == b.slice(d) for d in range(through + 1))
 
 
 def degree_generators(p: int, d: int, below: Subspace, cur: Subspace) -> list[Poly2]:
@@ -213,13 +227,7 @@ def minimal_generators(ideal: GradedIdeal, through: Optional[int] = None) -> lis
     ``degree_generators`` on the ideal's slices. For a finite quotient the
     scan through topdeg + 1 is exhaustive."""
     if through is None:
-        top = ideal.top_degree()
-        if top is None:
-            raise InfiniteQuotientError(
-                f"infinite quotient below the {degree_cap_note(ideal.p)}: "
-                "pass an explicit degree bound"
-            )
-        through = top + 1
+        through = ideal.top_degree() + 1
     out: list[Poly2] = []
     for d in range(1, through + 1):
         out += degree_generators(ideal.p, d, ideal.slice(d - 1), ideal.slice(d))
@@ -333,10 +341,10 @@ def basis_check(family: MonomialFamily, ideal: GradedIdeal):
     if p != ideal.p:
         raise ValueError("prime mismatch")
     with timed_report(p, f"basis_check:{family.name}") as rep:
-        dims, top = ideal.quotient_dims()
-        rep.add(Check.boolean("finite_quotient", top is not None))
-        if top is None:
-            return rep
+        top = ideal.top_degree()
+        dims = ideal.quotient_dims()[0]
+        # top_degree refuses an infinite quotient, so this check passes
+        rep.add(Check.boolean("finite_quotient", True))
         rep.add(
             Check.equality("total_count_vs_quotient_dimension", sum(dims), len(family.monomials))
         )

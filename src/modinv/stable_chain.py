@@ -15,9 +15,7 @@ from dataclasses import dataclass
 from modinv.fp_arith import check_prime
 from modinv.graded_ideal import (
     GradedIdeal,
-    InfiniteQuotientError,
     basis_check,
-    degree_cap_note,
     ideal_equal,
     invariant_slice,
     theta_family,
@@ -76,12 +74,7 @@ def next_ideal(ideal: GradedIdeal, group: MatrixGroup) -> tuple[GradedIdeal, lis
     stable). Requires the quotient to be finite-dimensional.
     """
     p = ideal.p
-    dims, top = ideal.quotient_dims()
-    if top is None:
-        raise InfiniteQuotientError(
-            f"the quotient is infinite-dimensional below the {degree_cap_note(p)}; "
-            "the chain step is not defined here"
-        )
+    top = ideal.top_degree()
     gens = fixing_set(group)
     new: list[Poly2] = []
     for d in range(1, top + 1):
@@ -149,10 +142,9 @@ def verify_basedos(p: int):
         )
 
         gens = fixing_set(catalog_group("L", p, 1))
-        _, top = ideal_reduced.quotient_dims()
         no_invariants = all(
             invariant_slice(p, gens, d, modulo=ideal_reduced).is_zero
-            for d in range(1, (top or 0) + 1)
+            for d in range(1, ideal_reduced.top_degree() + 1)
         )
         rep.add(Check.boolean("item3_no_invariant_classes", no_invariants))
 

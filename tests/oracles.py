@@ -7,8 +7,8 @@ routine. Slow and obviously correct. The rest are the slow paths that
 faster library code replaced (the conjugator search, the shear division,
 the iterated fixed-subspace kernel, the operator rows from the action
 matrix, the generalized invariant levels searched over every coordinate,
-the dense slices behind formules items 5 and 6), kept as references to
-compare with.
+the dense slices behind formules items 5 and 6, ideal equality by
+generator membership), kept as references to compare with.
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from __future__ import annotations
 from math import comb
 from typing import Optional, Sequence
 
-from modinv.fp_arith import check_prime, inv_mod
+from modinv.fp_arith import check_prime
 from modinv.fp_linalg import Subspace, kernel, preimage
-from modinv.graded_ideal import GradedIdeal, degree_generators
+from modinv.graded_ideal import GradedIdeal, degree_generators, minimal_generators
 from modinv.grp2 import Mat2
-from modinv.poly2 import act_matrix, divide_slice_by_form
+from modinv.poly2 import Poly2, act_matrix, divide_slice_by_form
 
 
 def zpoly(terms=None):
@@ -250,22 +250,20 @@ def iterated_invariant_slice(
 
 
 def substitution_delta_rows(op, d: int) -> tuple[tuple[int, ...], ...]:
-    """The matrix of a difference operator on the degree-d slice (row k =
-    the image of x^{d-k} y^k), as (action matrix - identity) divided row by
-    row by the operator's linear form and by its scale."""
+    """The matrix of the difference operator of a reflection on the degree-d
+    slice (row k = the image of x^{d-k} y^k), as (action matrix - identity)
+    divided row by row by the reflection's linear form."""
     p = op.p
-    mat = act_matrix(p, op.reflection.matrix.entries, d)
-    s_inv = inv_mod(op.scale, p)
+    mat = act_matrix(p, op.matrix.entries, d)
     rows = []
     for k in range(d + 1):
         diff = [(a - (1 if i == k else 0)) % p for i, a in enumerate(mat[k])]
-        q = divide_slice_by_form(diff, op.vsigma, p)
-        rows.append(tuple(x * s_inv % p for x in q))
+        rows.append(tuple(divide_slice_by_form(diff, op.vsigma, p)))
     return tuple(rows)
 
 
 def full_preimage_levels(ops, through: int):
-    """The levels of the generalized invariant ideal of the operators
+    """The levels of the generalized invariant ideal of the reflections
     through degree ``through``, each the preimage of the level below over
     every coordinate, and the minimal generators read off them with
     ``degree_generators``. Returns (levels, [(degree, generator)])."""
@@ -293,3 +291,21 @@ def slice_span_verdicts(ideal: GradedIdeal, d: int, units, targets) -> list[bool
         vec[d - i] = 1
         out.append(w.contains(vec))
     return out
+
+
+def generating_polys(ideal: GradedIdeal) -> list[Poly2]:
+    """A finite generating set: the explicit generators when the ideal has
+    no slice source, otherwise the minimal generators extracted from the
+    slices (requires a finite quotient)."""
+    if ideal.slice_source is None:
+        return list(ideal.generators)
+    return minimal_generators(ideal)
+
+
+def generator_ideal_equal(a: GradedIdeal, b: GradedIdeal) -> bool:
+    """True iff every generator of each ideal belongs to the other."""
+    if a.p != b.p:
+        raise ValueError("prime mismatch")
+    return all(b.member(g) for g in generating_polys(a)) and all(
+        a.member(g) for g in generating_polys(b)
+    )

@@ -10,7 +10,6 @@ import pytest
 from modinv import demazure, poly2
 from modinv.demazure import (
     BudgetExceededError,
-    DemazureOp,
     brute_force_is_gen_inv,
     chain,
     delta,
@@ -37,7 +36,7 @@ from oracles import full_preimage_levels, substitution_delta_rows
 
 
 def _omega_ops(p):
-    return DemazureOp(Reflection(omega(p))), DemazureOp(Reflection(omega_prime(p)))
+    return Reflection(omega(p)), Reflection(omega_prime(p))
 
 
 def random_homogeneous(rng, p, d):
@@ -104,12 +103,12 @@ def test_twisted_leibniz_rule():
         for r in divisors(p - 1):
             for s in divisors(p - 1):
                 reflections += catalog_generators("U", p, r, s)
-        ops = [DemazureOp(r) for r in {r.matrix: r for r in reflections}.values()]
+        ops = list({r.matrix: r for r in reflections}.values())
         for _ in range(50):
             f = random_homogeneous(rng, p, rng.randrange(1, 7))
             g = random_homogeneous(rng, p, rng.randrange(1, 7))
             op = rng.choice(ops)
-            sigma_f = poly2.act(op.reflection.matrix, f)
+            sigma_f = poly2.act(op.matrix, f)
             lhs = delta(op, f * g)
             rhs = delta(op, f) * g + sigma_f * delta(op, g)
             assert lhs == rhs
@@ -118,11 +117,11 @@ def test_twisted_leibniz_rule():
 def test_delta_kills_exactly_the_fixed_polynomials():
     rng = random.Random(15)
     p = 5
-    ops = [DemazureOp(r) for r in catalog_generators("L", p, 2)]
+    ops = list(catalog_generators("L", p, 2))
     for _ in range(40):
         f = random_homogeneous(rng, p, rng.randrange(1, 6))
         op = rng.choice(ops)
-        fixed = poly2.act(op.reflection.matrix, f) == f
+        fixed = poly2.act(op.matrix, f) == f
         assert delta(op, f).is_zero() == fixed
 
 
@@ -171,7 +170,7 @@ def test_brute_force_rejects_inhomogeneous():
     p = 3
     w, _ = _omega_ops(p)
     with pytest.raises(ValueError):
-        brute_force_is_gen_inv([w.reflection], parse_poly("x + y^2", p))
+        brute_force_is_gen_inv([w], parse_poly("x + y^2", p))
 
 
 def test_dp_agrees_with_brute_force_oracle():
@@ -192,15 +191,6 @@ def test_dp_agrees_with_brute_force_oracle():
 
             in_ideal = res.ideal.slice(d).contains(slice_vector(f, d))
             assert brute_force_is_gen_inv(s, f) == in_ideal
-
-
-def test_rescaling_v_leaves_ideal_unchanged():
-    p = 3
-    w, wp = Reflection(omega(p)), Reflection(omega_prime(p))
-    base = generalized_ideal([DemazureOp(w), DemazureOp(wp)])
-    scaled = generalized_ideal([DemazureOp(w, scale=2), DemazureOp(wp, scale=2)])
-    for d in range(0, 11):
-        assert base.ideal.slice(d) == scaled.ideal.slice(d)
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])
@@ -232,7 +222,7 @@ def _check_against_full_preimage(refl):
     # through the end of the scan, against the recursion over every coordinate
     res = generalized_ideal(refl)
     d1, d2 = res.generator_degrees[:2]
-    levels, gens = full_preimage_levels([DemazureOp(r) for r in refl], d1 + d2)
+    levels, gens = full_preimage_levels(refl, d1 + d2)
     assert [res.ideal.slice(d) for d in range(d1 + d2 + 1)] == levels
     assert res.generators == gens
     return res
@@ -269,7 +259,7 @@ def test_generators_are_the_minimal_generators_of_the_ideal(p):
     for refl in _catalog_sets(p):
         res = generalized_ideal(refl)
         d1, d2 = res.generator_degrees[:2]
-        levels, _ = full_preimage_levels([DemazureOp(r) for r in refl], d1 + d2)
+        levels, _ = full_preimage_levels(refl, d1 + d2)
         oracle = GradedIdeal(p, [], slice_source=levels.__getitem__)
         expected = [(g.degree(), g) for g in minimal_generators(oracle, through=d1 + d2)]
         assert res.generators == expected
@@ -278,17 +268,16 @@ def test_generators_are_the_minimal_generators_of_the_ideal(p):
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_delta_slice_rows_match_substitution_oracle(p):
     for m in all_reflections(p):
-        for scale in sorted({1, p - 1}):
-            op = DemazureOp(Reflection(m), scale)
-            for d in range(31):
-                assert delta_slice_rows(op, d) == substitution_delta_rows(op, d), (m, scale, d)
+        op = Reflection(m)
+        for d in range(31):
+            assert delta_slice_rows(op, d) == substitution_delta_rows(op, d), (m, d)
 
 
 def test_delta_slice_rows_cold_call_is_shallow():
     # a cold call builds the degrees below it without recursing once per
     # degree: at degree 150 it stays within 200 levels of the caller, where
     # recursing once per degree takes about 300
-    op = DemazureOp(Reflection(omega(7)), 3)
+    op = Reflection(omega(7))
     d = 150
     demazure._delta_slice_rows.cache_clear()
     limit = sys.getrecursionlimit()

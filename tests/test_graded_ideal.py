@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from modinv import poly2
+from modinv import graded_ideal, poly2, stable_chain as chain_module, verify
 from modinv.fp_arith import divisors
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
@@ -22,7 +22,7 @@ from modinv.graded_ideal import (
 from modinv.grp2 import Mat2, catalog_group, omega_prime
 from modinv.poly2 import Poly2, parse_poly, slice_vector
 from modinv.stable_chain import compute_J1, stable_chain
-from oracles import iterated_invariant_slice
+from oracles import generator_ideal_equal, iterated_invariant_slice
 
 
 def ideal(p, *texts):
@@ -68,6 +68,39 @@ def test_ideal_equal_examples():
     assert ideal_equal(a, b)
     assert not ideal_equal(ideal(p, "x", "y^3"), ideal(p, "x", "y^2"))
     assert ideal_equal(a, a)
+
+
+# the targets whose runners compare ideals
+_COMPARING_TARGETS = ["basedos", "genL", "genU", "invariantsU", "stableL", "stableU", "weyl_examples"]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5])
+def test_ideal_equal_matches_generator_oracle(monkeypatch, p):
+    # every pair the verify runners compare, recorded through the names they
+    # call, and pairs that differ only above a generation degree
+    pairs = []
+
+    def recording(a, b):
+        pairs.append((a, b))
+        return graded_ideal.ideal_equal(a, b)
+
+    monkeypatch.setattr(verify, "ideal_equal", recording)
+    monkeypatch.setattr(chain_module, "ideal_equal", recording)
+    reports = verify.run_verification([p], _COMPARING_TARGETS)
+    assert all(r.status != "fail" for r in reports)
+    assert pairs
+    monkeypatch.undo()
+
+    j1, j2 = stable_chain(catalog_group("L", p, 1)).ideals
+    # (x) and (x, y^5) first differ above the smaller generation degree
+    pairs += [(j1, j2), (ideal(p, "x"), ideal(p, "x", "y^5"))]
+    if p == 3:
+        # J_1 = (delta, d1) first differs from (delta) in degree 6 = deg d1,
+        # above the only generator degree of (delta)
+        pairs.append((compute_J1(catalog_group("L", p, 1)), GradedIdeal(p, [poly2.delta(p)])))
+    for a, b in pairs:
+        assert ideal_equal(a, b) == generator_ideal_equal(a, b), (a, b)
+        assert ideal_equal(b, a) == generator_ideal_equal(a, b), (b, a)
 
 
 def test_quotient_dims_examples():

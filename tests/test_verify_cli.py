@@ -100,8 +100,9 @@ def test_cli_rejects_unknown_theorem():
 
 
 def test_cli_degree_cap_refusal_exit2(monkeypatch, capsys):
+    # a cap below the top degree is refused, never reported as a failed check
     monkeypatch.setenv("MODINV_MAX_DEGREE", "5")
-    for target in ("stableL", "calculinvest"):
+    for target in ("stableL", "calculinvest", "baseL", "baseU", "basedos", "invariantsU"):
         assert cli.cli_main(["verify", "--prime", "3", "--theorem", target]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "degree cap 5" in err and "MODINV_MAX_DEGREE" in err
