@@ -13,10 +13,12 @@ its matrix on a degree slice is built from the one a degree below, and
 the generalized invariants form an ideal. The homogeneous pieces of that
 ideal are computed by a per-degree dynamic program: f of degree d is
 generalized invariant iff every single operator sends it into the degree
-d-1 piece. P_1 times the degree d-1 piece lies in the degree-d piece, so
-only the canonical representatives modulo that product are searched, with
-one ``fp_linalg.preimage``. The tests check the result against the literal
-chain enumeration and against the same program run over every coordinate.
+d-1 piece. P_1 times the degree d-1 piece (``Subspace.shift``) lies in
+the degree-d piece, so only the canonical representatives modulo that
+product are searched, with one ``fp_linalg.preimage``, and the level is
+the shift plus what that finds (the incremental ``Subspace.sum``). The
+tests check the result against the literal chain enumeration and against
+the same program run over every coordinate.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from typing import Optional, Sequence
 from modinv import _kernels
 from modinv.fp_arith import check_prime, inv_mod, lucas_binom
 from modinv.fp_linalg import Subspace, preimage
-from modinv.graded_ideal import GradedIdeal, _p1_rows, default_degree_cap
+from modinv.graded_ideal import GradedIdeal, default_degree_cap
 from modinv.grp2 import CapExceededError, Mat2, Reflection, omega, omega_prime
 from modinv.poly2 import (
     LinearForm,
@@ -164,7 +166,7 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     def level(d: int) -> Subspace:
         while len(levels) <= d:
             e = len(levels)
-            w = Subspace.span(p, e + 1, _p1_rows(levels[e - 1]))
+            w = levels[e - 1].shift()
             coords = w.complement()
             new = Subspace.zero(p, e + 1)
             if coords:

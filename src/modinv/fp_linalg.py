@@ -1,9 +1,13 @@
 """Dense exact linear algebra over F_p on degree-slice vectors.
 
 Everything is canonical: a subspace is stored as its reduced row echelon
-basis, so equality of subspaces is equality of matrices. Spans, sums,
-kernels, preimages and membership all reduce to the kernel primitives in
-``_kernels``.
+basis, so equality of subspaces is equality of matrices. A reduced row is
+its pivot plus its entries on the free (non-pivot) columns, and the
+reduction of any vector modulo the subspace is read off those columns
+alone: v[f] - sum over the pivots c with v[c] != 0 of v[c] * row_c[f]. Sums
+(``Subspace.sum``, ``Subspace.shift``) and preimages work on that small
+block of free columns; spans, kernels and membership call the kernel
+primitives in ``_kernels`` on whole rows.
 """
 
 from __future__ import annotations
@@ -70,13 +74,62 @@ class Subspace:
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
 
-    def contains_subspace(self, other: "Subspace") -> bool:
-        self._check_compatible(other)
-        return all(self.contains(r) for r in other.rows)
+    def _free_parts(self, rows) -> list[list[int]]:
+        # the reductions of the rows modulo self, on the free columns only
+        # (they vanish on the pivots), from the pivot entries each row has
+        p = self.p
+        free = self.complement()
+        blocks = [[r[f] for f in free] for r in self.rows]
+        out = []
+        for v in rows:
+            acc = [v[f] for f in free]
+            for c, b in zip(self.pivots, blocks):
+                x = v[c]
+                if x:
+                    acc = [a - x * y for a, y in zip(acc, b)]
+            out.append([a % p for a in acc])
+        return out
 
     def sum(self, other: "Subspace") -> "Subspace":
+        """The canonical span of both. Only other's reductions on the free
+        columns are echelonized; the new pivots are then cleared from the
+        old rows and the two bases merged by pivot."""
         self._check_compatible(other)
-        return Subspace.span(self.p, self.ncols, list(self.rows) + list(other.rows))
+        free = self.complement()
+        if not free or other.is_zero:
+            return self
+        basis, cols = _kernels.rref(self._free_parts(other.rows), self.p)
+        if not basis:
+            return self
+        p, n = self.p, self.ncols
+        new = []
+        for b in basis:
+            w = [0] * n
+            for f, x in zip(free, b):
+                w[f] = x
+            new.append(w)
+        heads = [free[c] for c in cols]
+        merged = list(zip(heads, new))
+        for c, row in zip(self.pivots, self.rows):
+            for h, w in zip(heads, new):
+                x = row[h]
+                if x:
+                    row = [(a - x * y) % p for a, y in zip(row, w)]
+            merged.append((c, row))
+        merged.sort(key=lambda item: item[0])
+        return Subspace(
+            p, n, tuple(tuple(r) for _, r in merged), tuple(c for c, _ in merged), _canonical=True
+        )
+
+    def shift(self) -> "Subspace":
+        """P_1 * self one degree up, for a slice of degree ncols - 1: the
+        x-multiples v + (0,) are reduced echelon with the same pivots, and
+        the y-multiples (0,) + v, echelon with the pivots one column right,
+        are summed into them."""
+        p, n, rows = self.p, self.ncols + 1, self.rows
+        xs = Subspace(p, n, tuple(v + (0,) for v in rows), self.pivots, _canonical=True)
+        ys = Subspace(p, n, tuple((0,) + v for v in rows), tuple(c + 1 for c in self.pivots), _canonical=True)
+        return xs.sum(ys)
 
     def _check_compatible(self, other: "Subspace"):
         if self.p != other.p:
@@ -121,13 +174,12 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
 def preimage(p: int, ncols: int, coords: Sequence[int], maps, modulo: Subspace) -> Subspace:
     """The vectors of F_p^ncols supported on ``coords`` whose image under
     every map lies in ``modulo``; ``maps[i][k]`` is the image under map i
-    of the unit vector at ``coords[k]``. One kernel of the non-pivot columns
-    of the reduced images gives the coefficients, embedded back at coords."""
-    free = modulo.complement()
+    of the unit vector at ``coords[k]``. One kernel of the images' reductions
+    on the non-pivot columns of ``modulo`` gives the coefficients, embedded
+    back at coords."""
     rows: list[list[int]] = []
     for images in maps:
-        reduced = [modulo.reduce(v) for v in images]
-        rows += [[w[j] for w in reduced] for j in free]
+        rows += map(list, zip(*modulo._free_parts(images)))
     vectors = []
     for c in kernel(rows, len(coords), p).rows:
         v = [0] * ncols

@@ -9,9 +9,11 @@ degree bound). The degree-d slice is built exactly by the recursion
                + source(d),
 
 which equals the sum over e <= d of P_{d-e} times the degree-e input and
-is therefore exact at every degree. The rows of P_1 * slice(d-1) come
-from one shift helper, ``_p1_rows``, which ``demazure.generalized_ideal``
-also uses for its levels.
+is therefore exact at every degree. P_1 * slice(d-1) is
+``Subspace.shift``, which ``demazure.generalized_ideal`` also uses for its
+levels; the generators and the source slice are added to it by the
+incremental ``Subspace.sum``, which echelonizes only their reductions on
+the free columns.
 
 Minimal generators are read off degree by degree by one extraction,
 ``degree_generators(p, d, below, cur)``: the echelon lifts of cur modulo
@@ -23,13 +25,15 @@ search.
 The slices are canonical (reduced echelon), so two ideals are equal iff
 their slices agree through a degree in which both are generated
 (``ideal_equal``): the top generator degree, or top_degree() + 1 for an
-ideal with a slice source. ``GradedIdeal.top_degree`` is the one place that
-refuses a quotient with no zero dimension below the degree cap
-(``InfiniteQuotientError``); every caller that needs a finite quotient goes
-through it. Membership, quotient dimensions and the monomial basis checks
-also live here, together with ``invariant_slice``, the fixed subspace of a
-group in P or P/I: one ``fp_linalg.preimage`` of I_d under (action - 1),
-the question ``generalized_ideal`` asks of its operators.
+ideal with a slice source. Slices past an ideal's cache are compared as
+they are built, each from the one below, and not stored.
+``GradedIdeal.top_degree`` is the one place that refuses a quotient with
+no zero dimension below the degree cap (``InfiniteQuotientError``); every
+caller that needs a finite quotient goes through it. Membership, quotient
+dimensions and the monomial basis checks also live here, together with
+``invariant_slice``, the fixed subspace of a group in P or P/I: one
+``fp_linalg.preimage`` of I_d under (action - 1), the question
+``generalized_ideal`` asks of its operators.
 """
 
 from __future__ import annotations
@@ -71,16 +75,6 @@ class InfiniteQuotientError(RuntimeError):
     pass
 
 
-def _p1_rows(prev: Subspace) -> list[list[int]]:
-    """Rows spanning P_1 * prev one degree up: x*v, then y*v, for each row v."""
-    rows = []
-    for v in prev.rows:
-        row = list(v)
-        rows.append(row + [0])
-        rows.append([0] + row)
-    return rows
-
-
 class GradedIdeal:
     """A homogeneous ideal with cached canonical degree slices."""
 
@@ -120,24 +114,34 @@ class GradedIdeal:
         """Canonical subspace of the degree-d piece of the ideal."""
         if d < 0:
             raise ValueError("negative degree")
-        p = self.p
         if len(self._slices) <= d:
             with self._slice_lock:
                 while len(self._slices) <= d:
                     e = len(self._slices)
-                    prev = self._slices[e - 1]
-                    rows = _p1_rows(prev)
-                    for g in self._gens_by_degree.get(e, ()):
-                        rows.append(slice_vector(g, e))
-                    if self.slice_source is not None:
-                        rows.extend(self.slice_source(e).rows)
-                    sub = Subspace.span(p, e + 1, rows)
-                    if prev.is_full and not sub.is_full:
-                        raise AssertionError(
-                            "saturation violated: full slice followed by proper slice"
-                        )
-                    self._slices.append(sub)
+                    self._slices.append(self._next_slice(self._slices[e - 1], e))
         return self._slices[d]
+
+    def _next_slice(self, prev: Subspace, e: int) -> Subspace:
+        # slice(e) from prev = slice(e-1), by the recursion of the module docstring
+        sub = prev.shift()
+        rows = [slice_vector(g, e) for g in self._gens_by_degree.get(e, ())]
+        if rows:
+            sub = sub.sum(Subspace.span(self.p, e + 1, rows))
+        if self.slice_source is not None:
+            sub = sub.sum(self.slice_source(e))
+        if prev.is_full and not sub.is_full:
+            raise AssertionError("saturation violated: full slice followed by proper slice")
+        return sub
+
+    def _slices_through(self, d: int):
+        # slice(0), ..., slice(d): the cached ones, then the rest built from
+        # the one below without being stored
+        cached = self._slices[: d + 1]
+        yield from cached
+        prev = cached[-1]
+        for e in range(len(cached), d + 1):
+            prev = self._next_slice(prev, e)
+            yield prev
 
     def member(self, f: Poly2) -> bool:
         """True iff every homogeneous component of f lies in its slice."""
@@ -199,7 +203,7 @@ def ideal_equal(a: GradedIdeal, b: GradedIdeal) -> bool:
     if a.p != b.p:
         raise ValueError("prime mismatch")
     through = max(_generation_degree(a), _generation_degree(b))
-    return all(a.slice(d) == b.slice(d) for d in range(through + 1))
+    return all(x == y for x, y in zip(a._slices_through(through), b._slices_through(through)))
 
 
 def degree_generators(p: int, d: int, below: Subspace, cur: Subspace) -> list[Poly2]:
@@ -209,7 +213,7 @@ def degree_generators(p: int, d: int, below: Subspace, cur: Subspace) -> list[Po
     if cur.is_zero:
         return []
     out: list[Poly2] = []
-    w = Subspace.span(p, d + 1, _p1_rows(below))
+    w = below.shift()
     for v in cur.rows:
         red = w.reduce(v)
         if any(red):

@@ -8,7 +8,9 @@ faster library code replaced (the conjugator search, the shear division,
 the iterated fixed-subspace kernel, the operator rows from the action
 matrix, the generalized invariant levels searched over every coordinate,
 the dense slices behind formules items 5 and 6, ideal equality by
-generator membership), kept as references to compare with.
+generator membership, the shift and sum of subspaces by one dense RREF of
+all their rows, the preimage through full reductions), kept as references
+to compare with.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from math import comb
 from typing import Optional, Sequence
 
 from modinv.fp_arith import check_prime
-from modinv.fp_linalg import Subspace, kernel, preimage
+from modinv.fp_linalg import Subspace, kernel
 from modinv.graded_ideal import GradedIdeal, degree_generators, minimal_generators
 from modinv.grp2 import Mat2
 from modinv.poly2 import Poly2, act_matrix, divide_slice_by_form
@@ -262,6 +264,48 @@ def substitution_delta_rows(op, d: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
+def p1_rows(prev: Subspace) -> list[list[int]]:
+    """Rows spanning P_1 * prev one degree up: x*v, then y*v, for each row v."""
+    rows = []
+    for v in prev.rows:
+        row = list(v)
+        rows.append(row + [0])
+        rows.append([0] + row)
+    return rows
+
+
+def dense_shift(prev: Subspace) -> Subspace:
+    """P_1 * prev by one RREF of all the shifted rows."""
+    return Subspace.span(prev.p, prev.ncols + 1, p1_rows(prev))
+
+
+def dense_sum(a: Subspace, b: Subspace) -> Subspace:
+    """a + b by one RREF of the rows of both."""
+    return Subspace.span(a.p, a.ncols, list(a.rows) + list(b.rows))
+
+
+def contains_all(big: Subspace, small: Subspace) -> bool:
+    """Whether small lies in big, tested row by row with ``contains``."""
+    return all(big.contains(r) for r in small.rows)
+
+
+def full_reduce_preimage(p: int, ncols: int, coords, maps, modulo: Subspace) -> Subspace:
+    """``fp_linalg.preimage`` with every image reduced in full modulo
+    ``modulo`` before its non-pivot coordinates are read."""
+    free = modulo.complement()
+    rows: list[list[int]] = []
+    for images in maps:
+        reduced = [modulo.reduce(v) for v in images]
+        rows += [[w[j] for w in reduced] for j in free]
+    vectors = []
+    for c in kernel(rows, len(coords), p).rows:
+        v = [0] * ncols
+        for k, x in zip(coords, c):
+            v[k] = x
+        vectors.append(v)
+    return Subspace.span(p, ncols, vectors)
+
+
 def full_preimage_levels(ops, through: int):
     """The levels of the generalized invariant ideal of the reflections
     through degree ``through``, each the preimage of the level below over
@@ -272,7 +316,7 @@ def full_preimage_levels(ops, through: int):
     gens = []
     for e in range(1, through + 1):
         maps = [substitution_delta_rows(op, e) for op in ops]
-        levels.append(preimage(p, e + 1, range(e + 1), maps, levels[e - 1]))
+        levels.append(full_reduce_preimage(p, e + 1, range(e + 1), maps, levels[e - 1]))
         gens += [(e, g) for g in degree_generators(p, e, levels[e - 1], levels[e])]
     return levels, gens
 

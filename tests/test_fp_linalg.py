@@ -6,6 +6,9 @@ import random
 import pytest
 
 from modinv.fp_linalg import Subspace, kernel, preimage
+from oracles import dense_shift, dense_sum, full_reduce_preimage
+
+BIG_PRIMES = [2**31 - 1, 4294967311]  # the top of the compiled range, and above it
 
 
 def random_subspace(rng, p, n, k):
@@ -117,3 +120,61 @@ def test_prime_mismatch_errors():
     b = Subspace.span(5, 2, [[1, 0]])
     with pytest.raises(ValueError):
         a.sum(b)
+
+
+def _random_rows(rng, p, n, k):
+    # entries in [-p, 2p), about half of them zero
+    return [[rng.randrange(-p, 2 * p) if rng.random() < 0.5 else 0 for _ in range(n)] for _ in range(k)]
+
+
+def _subspace_family(rng, p, n):
+    """Zero, full, one-row, dependent-row and random subspaces of F_p^n,
+    spanned from rows with unreduced and negative entries."""
+    out = [Subspace.zero(p, n), Subspace.span(p, n, [[int(i == j) for j in range(n)] for i in range(n)])]
+    out.append(Subspace.span(p, n, _random_rows(rng, p, n, 1)))
+    base = _random_rows(rng, p, n, rng.randrange(1, 4))
+    combos = [[sum(rng.randrange(p) * r[j] for r in base) for j in range(n)] for _ in range(3)]
+    out.append(Subspace.span(p, n, base + combos))
+    for _ in range(3):
+        out.append(Subspace.span(p, n, _random_rows(rng, p, n, rng.randrange(0, n + 2))))
+    return out
+
+
+def _check_shift_and_sum(rng, p, trials):
+    for _ in range(trials):
+        n = rng.randrange(1, 9)
+        family = _subspace_family(rng, p, n)
+        for a in family:
+            pairs = [(a.shift(), dense_shift(a))] + [(a.sum(b), dense_sum(a, b)) for b in family]
+            for got, want in pairs:
+                assert got == want and got.pivots == want.pivots
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_shift_and_sum_match_dense_oracles(p):
+    _check_shift_and_sum(random.Random(70 + p), p, 40)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_shift_and_sum_match_dense_oracles_at_large_primes(p):
+    _check_shift_and_sum(random.Random(p % 1000), p, 8)
+
+
+def _check_preimage(rng, p, trials):
+    for _ in range(trials):
+        n, m = rng.randrange(1, 7), rng.randrange(1, 7)
+        coords = sorted(rng.sample(range(n), rng.randrange(0, n + 1)))
+        maps = [_random_rows(rng, p, m, len(coords)) for _ in range(rng.randrange(0, 3))]
+        for modulo in _subspace_family(rng, p, m):
+            got = preimage(p, n, coords, maps, modulo)
+            assert got == full_reduce_preimage(p, n, coords, maps, modulo)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_preimage_matches_full_reduction_oracle(p):
+    _check_preimage(random.Random(90 + p), p, 40)
+
+
+@pytest.mark.parametrize("p", BIG_PRIMES)
+def test_preimage_matches_full_reduction_oracle_at_large_primes(p):
+    _check_preimage(random.Random(p % 997), p, 8)

@@ -19,6 +19,8 @@ CASES = [
     ("verify_all_small.json", ["verify", "--prime", "all-small", "--theorem", "all", "--format", "json"]),
     ("stable_p7_L1.json", ["stable", "--prime", "7", "--group", "L:1"]),
     ("gen_p7_transvections.json", ["gen", "--prime", "7", "--reflections", "1,1;0,1 1,0;1,1"]),
+    ("stable_p11_L1.json", ["stable", "--prime", "11", "--group", "L:1"]),
+    ("gen_p11_transvections.json", ["gen", "--prime", "11", "--reflections", "1,1;0,1 1,0;1,1"]),
 ]
 
 

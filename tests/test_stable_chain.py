@@ -16,6 +16,7 @@ from modinv.stable_chain import (
     stable_chain,
     verify_basedos,
 )
+from oracles import contains_all
 
 
 def ideal(p, *texts):
@@ -111,7 +112,7 @@ def test_chain_is_increasing_and_short(p):
             _, top = res.ideals[0].quotient_dims()
             for a, b in zip(res.ideals, res.ideals[1:]):
                 for d in range(top + 2):
-                    assert b.slice(d).contains_subspace(a.slice(d))
+                    assert contains_all(b.slice(d), a.slice(d))
 
 
 def test_prime_to_p_group_stabilizes_immediately():
