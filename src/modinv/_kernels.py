@@ -1,23 +1,18 @@
 """Kernel backend selection.
 
 The compiled core is used when it was built; otherwise the pure Python
-reference takes over. Set MODINV_PURE=1 to force the pure backend (used by
-the benchmark and the backend-parity tests). The compiled core computes in
-C long, where a product of two residues overflows once p >= 2**31, so
-calls with such a prime go to the pure kernels, and so do convolutions with
-an empty operand, which the compiled core cannot allocate.
+reference takes over. The compiled core computes in C long, where a product
+of two residues overflows once p >= 2**31, so calls with such a prime go to
+the pure kernels, and so do convolutions with an empty operand, which the
+compiled core cannot allocate.
 """
-
-import os
 
 from modinv import _core_py
 
-_impl = _core_py
-if not os.environ.get("MODINV_PURE"):
-    try:
-        from modinv import _core_c as _impl  # type: ignore[attr-defined]
-    except ImportError:
-        pass
+try:
+    from modinv import _core_c as _impl  # type: ignore[attr-defined]
+except ImportError:
+    _impl = _core_py
 
 rref, reduce_row, convolve = _core_py.rref, _core_py.reduce_row, _core_py.convolve
 if _impl is not _core_py:

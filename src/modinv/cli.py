@@ -32,26 +32,36 @@ class UsageError(ValueError):
     pass
 
 
-def _parse_prime(text: str) -> list[int]:
+def _parse_prime(text: str) -> int:
     if text == "all-small":
-        return list(verify.ALL_SMALL_PRIMES)
+        raise UsageError("--prime all-small is accepted by verify only; give one prime")
     try:
         p = int(text)
     except ValueError:
-        raise UsageError(f"--prime expects an integer or 'all-small', got {text!r}")
+        raise UsageError(f"--prime expects a prime, got {text!r}")
     try:
         check_prime(p)
     except ValueError as exc:
         raise UsageError(str(exc))
-    return [p]
+    return p
+
+
+def _group_indices(spec: str, form: str, count: int) -> list[int]:
+    # the positive integers after "L:" or "U:"
+    try:
+        values = [int(t) for t in spec[2:].split(",")]
+    except ValueError:
+        values = []
+    if len(values) != count or min(values) < 1:
+        raise UsageError(f"--group expects {form} with positive integers, got {spec!r}")
+    return values
 
 
 def _parse_group(spec: str, p: int):
     if spec.startswith("L:"):
-        return catalog_group("L", p, int(spec[2:]))
+        return catalog_group("L", p, *_group_indices(spec, "L:r", 1))
     if spec.startswith("U:"):
-        r, s = (int(t) for t in spec[2:].split(","))
-        return catalog_group("U", p, r, s)
+        return catalog_group("U", p, *_group_indices(spec, "U:r,s", 2))
     if spec.startswith("gens:"):
         mats = parse_matrix_list(spec[5:], p)
         if not mats:
@@ -92,7 +102,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_verify(args) -> int:
-    primes = _parse_prime(args.prime)
+    if args.prime == "all-small":
+        primes = list(verify.ALL_SMALL_PRIMES)
+    else:
+        primes = [_parse_prime(args.prime)]
     targets = None if args.theorem == "all" else [args.theorem]
     try:
         reports = verify.run_verification(primes, targets)
@@ -103,7 +116,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_stable(args) -> int:
-    (p,) = _parse_prime(args.prime)
+    p = _parse_prime(args.prime)
     group = _parse_group(args.group, p)
     result = stable_chain.stable_chain(group)
     payload = {
@@ -129,7 +142,7 @@ def _cmd_stable(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    (p,) = _parse_prime(args.prime)
+    p = _parse_prime(args.prime)
     mats = parse_matrix_list(args.reflections, p)
     if not mats:
         raise UsageError("empty reflection list")
@@ -148,7 +161,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    (p,) = _parse_prime(args.prime)
+    p = _parse_prime(args.prime)
     mats = parse_matrix_list(args.matrices, p)
     if not mats:
         raise UsageError("empty matrix list")
@@ -158,7 +171,7 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_invariants(args) -> int:
-    (p,) = _parse_prime(args.prime)
+    p = _parse_prime(args.prime)
     group = _parse_group(args.group, p)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")

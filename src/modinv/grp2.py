@@ -317,9 +317,6 @@ class MatrixGroup:
         p = self.p
         return (Mat2._trusted(p, *_entries(p, c)) for c in sorted(self.codes))
 
-    def reflections(self) -> list[Mat2]:
-        return [m for m in self if is_reflection(m)]
-
     def conjugate(self, g: Mat2) -> "MatrixGroup":
         """The group g^{-1} G g."""
         gi = g.inv()

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from modinv import _kernels
 from modinv.fp_arith import check_prime, inv_mod
@@ -561,6 +561,15 @@ def lex_normal_forms(g: Poly2, d: int) -> list[dict[int, int]]:
     whose monomials all have x-exponent below i, so one pass from high
     y-exponent to low builds every entry from earlier ones, touching only
     the nonzero terms of g.
+
+    Entry i does not depend on d while i <= d - b, and is {i: 1} for
+    i > d - b. Proof, by induction on i: an entry i < a is {i: 1} in every
+    degree; an entry a <= i <= d - b is the same combination of the
+    entries i - a + u (u < a ranging over the x-exponents of g's other
+    terms), each below i and so also at most d - b. Above d - b the
+    monomial is standard. So the table at one degree D gives the table at
+    every degree d <= D: entries 0 .. d - b are the same, the rest are
+    unit vectors.
     """
     if g.is_zero() or not g.is_homogeneous():
         raise ValueError("normal forms need a nonzero homogeneous form")
@@ -579,53 +588,6 @@ def lex_normal_forms(g: Poly2, d: int) -> list[dict[int, int]]:
     return out
 
 
-def monomials_in_span_mod(
-    g: Poly2, d: int, units: Iterable[int], targets: Iterable[int]
-) -> list[bool]:
-    """For each i in targets, whether x^i y^{d-i} lies in
-    span(x^s y^{d-s} : s in units) + (g)_d.
-
-    The normal form is linear with kernel (g)_d, so this holds exactly when
-    the normal form of the target lies in the span of the normal forms of
-    the units: one sparse elimination over the standard monomials, each
-    basis row keyed by its largest x-exponent. When every basis row is a
-    single standard monomial (so for delta^r and the units s < rp), the
-    span is a coordinate subspace: the elimination would then remove the
-    target's keys one at a time, and the same verdict is read off at once
-    as "every key of the target is a unit key". That reading takes about a
-    fifth off ``verify_formules`` at p = 11 and 13 (pure Python).
-    """
-    p = g.p
-    nfs = lex_normal_forms(g, d)
-    basis: dict[int, dict[int, int]] = {}
-
-    def reduce(v: dict[int, int]) -> dict[int, int]:
-        v = dict(v)
-        while v:
-            top = max(v)
-            row = basis.get(top)
-            if row is None:
-                break
-            c = v[top]
-            for s, w in row.items():
-                x = (v.get(s, 0) - c * w) % p
-                if x:
-                    v[s] = x
-                else:
-                    del v[s]
-        return v
-
-    for s in units:
-        v = reduce(nfs[s])
-        if v:
-            top = max(v)
-            c_inv = inv_mod(v[top], p)
-            basis[top] = {t: w * c_inv % p for t, w in v.items()}
-    if all(len(row) == 1 for row in basis.values()):
-        return [nfs[i].keys() <= basis.keys() for i in targets]
-    return [not reduce(nfs[i]) for i in targets]
-
-
 # -- the six-identity verifier ------------------------------------------------
 
 
@@ -634,16 +596,24 @@ def verify_formules(p: int):
     rewriting rules. Returns a VerificationReport; p must exceed 2.
 
     Items 1-4 are exact polynomial equalities. Items 5 and 6 are ideal
-    memberships, tested over every degree d <= 2 p^2 by lex (x > y) normal
-    forms (``lex_normal_forms``), one table per (r, d):
+    memberships over every monomial x^i y^{d-i} of degree d <= 2 p^2, tested
+    by lex (x > y) normal forms (``lex_normal_forms``). The leading term of
+    delta^r is x^{rp} y^r, so entry i of the degree-d table is the same in
+    every degree d >= i + r; one table T_r at degree 2 p^2 per r = 1 .. p - 2
+    therefore answers every degree at once, with no loop over d:
 
-    * item 5: x^i y^j - x^b y^{d-b} lies in (delta) exactly when the two
-      monomials have the same normal form;
+    * item 5: x^i y^j - x^b y^{d-b}, b = (i - 1) mod (p - 1) + 1, lies in
+      (delta) exactly when the two monomials have the same normal form, so
+      the check is T_1[i] == T_1[b] for p <= i < 2 p^2;
     * item 6: x^i y^{d-i} lies in span(x^s y^{d-s} : s < rp) + (delta^r)_d
       exactly when its normal form lies in the span of the normal forms of
-      those units. The leading term of delta^r is x^{rp} y^r, so every unit
-      is a standard monomial and the test is that the normal form has no
-      term of x-degree >= rp.
+      those units. Every unit is a standard monomial, its own normal form,
+      so the check is that T_r[i] has no key >= rp, for
+      rp <= i <= 2 p^2 - r.
+
+    The ranges of i are the unions over d of the ranges a per-degree check
+    visits (p <= i < d for item 5, rp <= i <= d - r for item 6), and each
+    i lies in the degree-free part of the tables.
 
     Why the normal form decides membership: (1) {delta^r} is a Groebner
     basis of (delta^r), since any nonzero h delta^r has leading term
@@ -693,24 +663,16 @@ def verify_formules(p: int):
         report.add(Check.equality("item4_d1_expansion", rhs4, dd1))
 
         # items 5 and 6 quantify over all monomials; they are tested over
-        # all (i, j) with i + j <= 2 p^2
+        # all (i, j) with i + j <= 2 p^2, from one degree-free table per r
         cap = 2 * p * p
-        ok5 = True
-        for d in range(p + 1, cap + 1):
-            nfs = lex_normal_forms(dl, d)
-            if any(nfs[i] != nfs[(i - 1) % (p - 1) + 1] for i in range(p, d)):
-                ok5 = False
-                break
+        t1 = lex_normal_forms(dl, cap)
+        ok5 = all(t1[i] == t1[(i - 1) % (p - 1) + 1] for i in range(p, cap))
         report.add(Check.boolean("item5_monomial_reduction_mod_delta", ok5))
 
         ok6 = True
         for r in range(1, p - 1):
-            gr = dl**r
-            # below degree r p + r no monomial x^i y^j has i >= rp and j >= r
-            for d in range(r * p + r, cap + 1):
-                if not all(monomials_in_span_mod(gr, d, range(r * p), range(r * p, d - r + 1))):
-                    ok6 = False
-                    break
+            tr = t1 if r == 1 else lex_normal_forms(dl**r, cap)
+            ok6 = all(s < r * p for i in range(r * p, cap - r + 1) for s in tr[i])
             if not ok6:
                 break
         report.add(Check.boolean("item6_monomial_span_mod_delta_power", ok6))

@@ -174,7 +174,7 @@ def test_criterion_07_binomial_sums():
 
 def test_criterion_08_polynomial_identities():
     started = time.perf_counter()
-    for p in (3, 5, 7, 11):
+    for p in (3, 5, 7, 11, 13):
         rep = verify_formules(p)
         assert rep.status == "pass", rep.failures()
         assert len(rep.checks) == 6

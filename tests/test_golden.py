@@ -21,6 +21,8 @@ CASES = [
     ("gen_p7_transvections.json", ["gen", "--prime", "7", "--reflections", "1,1;0,1 1,0;1,1"]),
     ("stable_p11_L1.json", ["stable", "--prime", "11", "--group", "L:1"]),
     ("gen_p11_transvections.json", ["gen", "--prime", "11", "--reflections", "1,1;0,1 1,0;1,1"]),
+    ("verify_p11_formules.json", ["verify", "--prime", "11", "--theorem", "formules", "--format", "json"]),
+    ("verify_p13_formules.json", ["verify", "--prime", "13", "--theorem", "formules", "--format", "json"]),
 ]
 
 

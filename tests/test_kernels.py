@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import modinv
 from modinv import _core_py, _kernels
 
 try:
@@ -79,9 +80,11 @@ def core(request):
 def kernels(request, monkeypatch):
     """A fresh copy of the ``_kernels`` module selecting the given core."""
     if request.param == "python":
-        monkeypatch.setenv("MODINV_PURE", "1")
+        # with no package attribute and a None module entry, importing the
+        # compiled core fails, whether or not it was built
+        monkeypatch.delattr(modinv, "_core_c", raising=False)
+        monkeypatch.setitem(sys.modules, "modinv._core_c", None)
     else:
-        monkeypatch.delenv("MODINV_PURE", raising=False)
         monkeypatch.setitem(sys.modules, "modinv._core_c", request.getfixturevalue("core_c"))
     spec = importlib.util.spec_from_file_location("kernels_under_test", _kernels.__file__)
     module = importlib.util.module_from_spec(spec)
@@ -221,19 +224,6 @@ def test_convolve_matches_integer_product(backends, p, a, b):
 
 
 def test_backend_selector_env():
-    import os
-    import subprocess
-    import sys
-
     probe = "import modinv; print(modinv.backend())"
-    env = {k: v for k, v in os.environ.items() if k != "MODINV_PURE"}
-    default = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-    )
+    default = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True)
     assert default.stdout.strip() == ("c" if _installed_core_c is not None else "python")
-    env = dict(env)
-    env["MODINV_PURE"] = "1"
-    forced = subprocess.run(
-        [sys.executable, "-c", probe], capture_output=True, text=True, env=env
-    )
-    assert forced.stdout.strip() == "python"

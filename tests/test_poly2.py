@@ -324,16 +324,26 @@ def test_verify_formules_rejects_p2():
         poly2.verify_formules(2)
 
 
+def _table_at(table, d, b):
+    # the degree-d normal-form table cut from a table of higher degree, for a
+    # generator with leading term x^a y^b: entries up to d - b are the same,
+    # the rest are unit vectors (the lemma of lex_normal_forms)
+    keep = max(0, d - b + 1)
+    return table[:keep] + [{i: 1} for i in range(keep, d + 1)]
+
+
 @pytest.mark.parametrize("p", [3, 5, 7])
 def test_formules_items_5_6_match_slice_oracle(p):
     # every monomial of every degree the items visit, not only the ones they
-    # check, so that failing memberships are compared too
+    # check, so that failing memberships are compared too; the verdicts are
+    # read from one table per r at degree 2 p^2, as verify_formules reads them
     dl = poly2.delta(p)
     cap = 2 * p * p
     seen = set()
     ideal = GradedIdeal(p, [dl])
+    t1 = poly2.lex_normal_forms(dl, cap)
     for d in range(p + 1, cap + 1):
-        nfs = poly2.lex_normal_forms(dl, d)
+        nfs = _table_at(t1, d, 1)
         for i in range(d + 1):
             b = (i - 1) % (p - 1) + 1
             f = Poly2.monomial(p, 1, i, d - i) - Poly2.monomial(p, 1, b, d - b)
@@ -343,9 +353,11 @@ def test_formules_items_5_6_match_slice_oracle(p):
     for r in range(1, p - 1):
         gr = dl**r
         ideal_r = GradedIdeal(p, [gr])
+        tr = poly2.lex_normal_forms(gr, cap)
         for d in range(r * p + r, cap + 1):
             units, targets = range(r * p), range(d + 1)
-            verdicts = poly2.monomials_in_span_mod(gr, d, units, targets)
+            nfs = _table_at(tr, d, r)
+            verdicts = [all(s < r * p for s in nfs[i]) for i in targets]
             assert verdicts == slice_span_verdicts(ideal_r, d, units, targets), (r, d)
             seen.update(verdicts)
     assert seen == {True, False}
@@ -362,17 +374,28 @@ def test_normal_forms_match_slice_oracle_on_random_forms():
         terms.update(((u, k - u), rng.randrange(p)) for u in range(a) if rng.random() < 0.5)
         g = Poly2(p, terms)
         ideal = GradedIdeal(p, [g])
-        for d in range(max(0, k - 2), k + 7):
+        top = k + 6
+        table = poly2.lex_normal_forms(g, top)
+        for d in range(top + 1):
             nfs = poly2.lex_normal_forms(g, d)
+            assert nfs == _table_at(table, d, k - a), (g, d)
             for i, nf in enumerate(nfs):
                 # congruent to its monomial and supported on standard monomials
                 assert all(s < a or s > d - (k - a) for s in nf)
                 rest = Poly2(p, {(s, d - s): c for s, c in nf.items()})
                 assert ideal.member(Poly2.monomial(p, 1, i, d - i) - rest)
-            units = [s for s in range(d + 1) if rng.random() < 0.3]
-            verdicts = poly2.monomials_in_span_mod(g, d, units, range(d + 1))
-            assert verdicts == slice_span_verdicts(ideal, d, units, range(d + 1)), (g, d, units)
-            seen.update(verdicts)
+            # a random form of degree d, half the time a multiple of g, lies in
+            # the ideal exactly when its normal form is zero
+            f = Poly2(p, {(i, d - i): rng.randrange(p) for i in range(d + 1)})
+            if d >= k and rng.random() < 0.5:
+                f = g * Poly2(p, {(i, d - k - i): rng.randrange(p) for i in range(d - k + 1)})
+            total: dict[int, int] = {}
+            for (i, _), c in f.terms.items():
+                for s, w in nfs[i].items():
+                    total[s] = (total.get(s, 0) + c * w) % p
+            verdict = ideal.member(f)
+            assert verdict == (not any(total.values())), (g, f)
+            seen.add(verdict)
     assert seen == {True, False}
 
 

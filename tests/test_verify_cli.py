@@ -125,6 +125,26 @@ def test_cli_usage_error_exit2(capsys):
     assert cli.cli_main([]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["stable", "--prime", "all-small", "--group", "L:1"], "--prime all-small is accepted by verify only"),
+        (["gen", "--prime", "all-small", "--reflections", "1,1;0,1"], "--prime all-small"),
+        (["classify", "--prime", "all-small", "--matrices", "1,1;0,1"], "--prime all-small"),
+        (["invariants", "--prime", "all-small", "--group", "L:1", "--max-degree", "2"], "--prime all-small"),
+        (["stable", "--prime", "x", "--group", "L:1"], "--prime expects a prime, got 'x'"),
+        (["verify", "--prime", "x"], "--prime expects a prime, got 'x'"),
+        (["stable", "--prime", "3", "--group", "U:3"], "--group expects U:r,s with positive integers"),
+        (["stable", "--prime", "3", "--group", "U:1,2,2"], "--group expects U:r,s"),
+        (["stable", "--prime", "3", "--group", "L:x"], "--group expects L:r with positive integers"),
+        (["invariants", "--prime", "3", "--group", "L:0", "--max-degree", "2"], "--group expects L:r"),
+    ],
+)
+def test_cli_malformed_option_names_it(capsys, argv, message):
+    assert cli.cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {message}")
+
+
 def test_cli_stable_json_schema(capsys):
     code = cli.cli_main(["stable", "--prime", "3", "--group", "U:1,2"])
     assert code == 0
