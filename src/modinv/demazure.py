@@ -8,15 +8,16 @@ by its reflection: the functions here take a ``Reflection`` or its
 reflection set S when every length-k composition of operators from S
 kills it.
 
-Each operator is a twisted derivation, D(f g) = D(f) g + sigma(f) D(g), so
-its matrix on a degree slice is built from the one a degree below, and
-the generalized invariants form an ideal. The homogeneous pieces of that
-ideal are computed by a per-degree dynamic program: f of degree d is
-generalized invariant iff every single operator sends it into the degree
-d-1 piece. P_1 times the degree d-1 piece (``Subspace.shift``) lies in
-the degree-d piece, so only the canonical representatives modulo that
-product are searched, with one ``fp_linalg.preimage``, and the level is
-the shift plus what that finds (the incremental ``Subspace.sum``). The
+On the degree-d slice an operator's matrix is (A - 1) / v: the
+substitution matrix ``act_matrix`` minus the identity, each row divided
+by v. Each operator is a twisted derivation, D(f g) = D(f) g + sigma(f)
+D(g), so the generalized invariants form an ideal. Its homogeneous
+pieces are computed by a per-degree dynamic program: f of degree d is
+generalized invariant iff every single operator sends it into the
+degree d-1 piece. P_1 times the degree d-1 piece (``Subspace.shift``)
+lies in the degree-d piece, so only the canonical representatives modulo
+that product are searched, with one ``fp_linalg.preimage``, and the level
+is the shift plus what that finds (the incremental ``Subspace.sum``). The
 tests check the result against the literal chain enumeration and against
 the same program run over every coordinate.
 """
@@ -25,18 +26,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
-from modinv import _kernels
 from modinv.fp_arith import check_prime, inv_mod, lucas_binom
 from modinv.fp_linalg import Subspace, preimage
 from modinv.graded_ideal import GradedIdeal, default_degree_cap
 from modinv.grp2 import CapExceededError, Mat2, Reflection, omega, omega_prime
 from modinv.poly2 import (
-    LinearForm,
     Poly2,
     act,
+    act_matrix,
     divide_slice_by_form,
     div_exact_linear,
     gamma,
@@ -82,44 +81,21 @@ def chain(ops: Sequence[Reflection | Mat2], f: Poly2) -> Poly2:
     return out
 
 
-# A cold call builds the degrees below it in blocks of this many, so it
-# never recurses deeper than one block.
-_ROWS_BLOCK = 64
-
-
-@lru_cache(maxsize=4096)
-def _delta_slice_rows(
-    p: int, entries: tuple[int, int, int, int], form: tuple[int, int], d: int
-) -> tuple[tuple[int, ...], ...]:
-    # row k = slice vector (degree d-1) of the operator applied to x^{d-k} y^k,
-    # from degree d-1 by the twisted Leibniz rule D(l f) = sigma(l) D(f) + D(l) f
-    # with l = x and f = x^{d-1-k} y^k for k < d, and l = y, f = y^{d-1} for k = d
-    if d == 0:
-        return ((),)
-    a, b, c, dd = entries
-    lf = LinearForm(p, form[0], form[1])
-    dx = divide_slice_by_form([a - 1, c], lf, p)[0]
-    dy = divide_slice_by_form([b, dd - 1], lf, p)[0]
-    if d == 1:
-        return ((dx,), (dy,))
-    for e in range(_ROWS_BLOCK, d - 1, _ROWS_BLOCK):
-        _delta_slice_rows(p, entries, form, e)
-    prev = _delta_slice_rows(p, entries, form, d - 1)
-    rows = [_kernels.convolve(row, [a, c], p) for row in prev]
-    rows.append(_kernels.convolve(prev[d - 1], [b, dd], p))
-    for k in range(d):
-        rows[k][k] = (rows[k][k] + dx) % p
-    rows[d][d - 1] = (rows[d][d - 1] + dy) % p
-    return tuple(map(tuple, rows))
-
-
-def delta_slice_rows(op: Reflection | Mat2, d: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the operator of a reflection (a ``Reflection`` or its
-    ``Mat2``) on the degree-d slice (row k = image of the k-th basis
-    monomial, as a degree d-1 slice vector)."""
+def delta_slice_rows(op: Reflection | Mat2, d: int, ks: Iterable[int]) -> tuple[tuple[int, ...], ...]:
+    """Rows k in ks of the matrix of the operator of a reflection (a
+    ``Reflection`` or its ``Mat2``) on the degree-d slice: row k is the
+    image of x^{d-k} y^k, as a degree d-1 slice vector. It is row k of
+    ``act_matrix`` minus the unit vector at k, divided by the reflection's
+    linear form."""
     op = _reflection(op)
-    lf = op.vsigma
-    return _delta_slice_rows(op.p, op.matrix.entries, (lf.a, lf.b), d)
+    p = op.p
+    mat = act_matrix(p, op.matrix.entries, d)
+    rows = []
+    for k in ks:
+        row = list(mat[k])
+        row[k] = (row[k] - 1) % p
+        rows.append(tuple(divide_slice_by_form(row, op.vsigma, p)))
+    return tuple(rows)
 
 
 @dataclass
@@ -141,7 +117,7 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
     """Compute the generalized invariant ideal of a nonempty reflection set.
 
     level(d), the degree-d piece, holds the f whose image under every
-    operator matrix ``delta_slice_rows(op, d)`` lies in level(d-1). The
+    operator matrix ``delta_slice_rows`` lies in level(d-1). The
     generalized invariants form an ideal (D(x f) = sigma(x) D(f) + D(x) f),
     so level(d) contains W = P_1 * level(d-1) and is W plus the canonical
     representatives modulo W that it holds: one ``preimage`` over the
@@ -170,8 +146,7 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
             coords = w.complement()
             new = Subspace.zero(p, e + 1)
             if coords:
-                mats = [delta_slice_rows(op, e) for op in ops]
-                maps = [[m[k] for k in coords] for m in mats]
+                maps = [delta_slice_rows(op, e, coords) for op in ops]
                 new = preimage(p, e + 1, coords, maps, levels[e - 1])
             levels.append(w.sum(new))
             found.append(new.rows)

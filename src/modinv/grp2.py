@@ -366,20 +366,21 @@ def trivial_group(p: int) -> MatrixGroup:
 def catalog_generators(kind: str, p: int, r: int, s: Optional[int] = None) -> list[Reflection]:
     """Reflection generator list for a catalog group.
 
-    kind "L": the transvections plus diag(zeta^{(p-1)/r}, 1), for r | p-1.
-    kind "U": the transvection fixing x plus diag(zeta^{(p-1)/r}, 1) and
-    diag(1, zeta^{(p-1)/s}), for r, s | p-1. Diagonals equal to the
-    identity are dropped.
+    kind "L": the transvections plus diag(zeta^{(p-1)/r}, 1), for a positive
+    divisor r of p-1. kind "U": the transvection fixing x plus
+    diag(zeta^{(p-1)/r}, 1) and diag(1, zeta^{(p-1)/s}), for positive
+    divisors r, s of p-1. Diagonals equal to the identity are dropped. Any
+    other r or s is refused with a ValueError that names it.
     """
     check_prime(p)
-    if (p - 1) % r != 0:
-        raise ValueError(f"r={r} does not divide p-1={p - 1}")
+    if r < 1 or (p - 1) % r:
+        raise ValueError(f"r={r} is not a positive divisor of p-1={p - 1}")
     z = primitive_root(p)
     if kind == "L":
         mats = [omega(p), omega_prime(p), diag(p, pow(z, (p - 1) // r, p), 1)]
     elif kind == "U":
-        if s is None or (p - 1) % s != 0:
-            raise ValueError(f"s={s} does not divide p-1={p - 1}")
+        if s is None or s < 1 or (p - 1) % s:
+            raise ValueError(f"s={s} is not a positive divisor of p-1={p - 1}")
         mats = [
             omega_prime(p),
             diag(p, pow(z, (p - 1) // r, p), 1),

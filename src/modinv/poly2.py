@@ -9,7 +9,10 @@ verifier.
 Action convention: a matrix A = [[a, b], [c, d]] substitutes the row
 vector (x, y) by (x, y) A, so x -> a x + c y and y -> b x + d y. Under
 this convention the transvection [[1, 0], [1, 1]] sends x to x + y and
-fixes y, and act(A, act(B, f)) == act(A B, f).
+fixes y, and act(A, act(B, f)) == act(A B, f). The action on the degree-d
+slice is one matrix, ``act_matrix``, built from the degree d-1 matrix by
+one multiplication by a x + c y or b x + d y per row; ``act`` reads its
+rows.
 
 Degree-slice encoding: a homogeneous polynomial of degree d is the vector
 of coefficients of (x^d, x^{d-1} y, ..., y^d); index = exponent of y.
@@ -202,9 +205,6 @@ class LinearForm:
     def __setattr__(self, name, value):
         raise AttributeError("LinearForm is immutable")
 
-    def as_poly(self) -> Poly2:
-        return Poly2(self.p, {(1, 0): self.a, (0, 1): self.b})
-
     def __eq__(self, other):
         if not isinstance(other, LinearForm):
             return NotImplemented
@@ -220,37 +220,22 @@ class LinearForm:
 # -- matrix action ----------------------------------------------------------
 
 
-def _form_powers(u: int, v: int, kmax: int, p: int) -> list[list[int]]:
-    # dense coefficient vectors of (u x + v y)^k for k = 0..kmax
-    out = [[1]]
-    base = [u % p, v % p]
-    cur = [1]
-    for _ in range(kmax):
-        cur = _kernels.convolve(cur, base, p)
-        out.append(cur)
-    return out
-
-
 def act(mat, f: Poly2) -> Poly2:
     """Apply the substitution action of an invertible matrix to f.
 
-    ``mat`` carries ``p`` and ``entries == (a, b, c, d)`` row-major.
+    ``mat`` carries ``p`` and ``entries == (a, b, c, d)`` row-major. The
+    image of the term c x^i y^j is c times row j of ``act_matrix`` at
+    degree i + j.
     """
     if mat.p != f.p:
         raise ValueError(f"prime mismatch: {mat.p} vs {f.p}")
     if not f.terms:
         return f
-    a, b, c, d = mat.entries
     p = f.p
-    max_i = max(i for (i, j) in f.terms)
-    max_j = max(j for (i, j) in f.terms)
-    pow_x = _form_powers(a, c, max_i, p)
-    pow_y = _form_powers(b, d, max_j, p)
     out: dict[tuple[int, int], int] = {}
     for (i, j), coeff in f.terms.items():
-        vec = _kernels.convolve(pow_x[i], pow_y[j], p)
         deg = i + j
-        for k, v in enumerate(vec):
+        for k, v in enumerate(act_matrix(p, mat.entries, deg)[j]):
             if v:
                 key = (deg - k, k)
                 w = (out.get(key, 0) + coeff * v) % p
@@ -261,18 +246,27 @@ def act(mat, f: Poly2) -> Poly2:
     return Poly2(p, out)
 
 
-@lru_cache(maxsize=4096)
+# A cold call builds the degrees below it in blocks of this many, so it
+# never recurses deeper than one block.
+_ROWS_BLOCK = 64
+
+
+@lru_cache(maxsize=8192)
 def act_matrix(p: int, entries: tuple[int, int, int, int], d: int) -> tuple[tuple[int, ...], ...]:
     """Matrix of the substitution action on the degree-d slice.
 
-    Row k is the slice vector of the image of x^{d-k} y^k.
+    Row k is the slice vector of the image of x^{d-k} y^k, built from the
+    matrix one degree below: x^{d-k} y^k = x * x^{d-1-k} y^k for k < d and
+    y^d = y * y^{d-1}, and x, y go to a x + c y and b x + d y.
     """
+    if d == 0:
+        return ((1,),)
     a, b, c, dd = entries
-    pow_x = _form_powers(a, c, d, p)
-    pow_y = _form_powers(b, dd, d, p)
-    rows = []
-    for k in range(d + 1):
-        rows.append(tuple(_kernels.convolve(pow_x[d - k], pow_y[k], p)))
+    for e in range(_ROWS_BLOCK, d - 1, _ROWS_BLOCK):
+        act_matrix(p, entries, e)
+    prev = act_matrix(p, entries, d - 1)
+    rows = [tuple(_kernels.convolve(row, (a, c), p)) for row in prev]
+    rows.append(tuple(_kernels.convolve(prev[d - 1], (b, dd), p)))
     return tuple(rows)
 
 

@@ -5,9 +5,10 @@ dict arithmetic over the integers reduced mod p at the end, substitution
 via explicit big-integer binomial expansion, and a literal long-division
 routine. Slow and obviously correct. The rest are the slow paths that
 faster library code replaced (the conjugator search, the shear division,
-the iterated fixed-subspace kernel, the operator rows from the action
-matrix, the generalized invariant levels searched over every coordinate,
-the dense slices behind formules items 5 and 6, ideal equality by
+the action matrix from products of powers of the image forms, the
+iterated fixed-subspace kernel, the operator rows from that matrix, the
+generalized invariant levels searched over every coordinate, the dense
+slices behind formules items 5 and 6, ideal equality by
 generator membership, the shift and sum of subspaces by one dense RREF of
 all their rows, the preimage through full reductions), kept as references
 to compare with.
@@ -15,6 +16,7 @@ to compare with.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
@@ -22,7 +24,7 @@ from modinv.fp_arith import check_prime
 from modinv.fp_linalg import Subspace, kernel
 from modinv.graded_ideal import GradedIdeal, degree_generators, minimal_generators
 from modinv.grp2 import Mat2
-from modinv.poly2 import Poly2, act_matrix, divide_slice_by_form
+from modinv.poly2 import Poly2, divide_slice_by_form
 
 
 def zpoly(terms=None):
@@ -177,13 +179,34 @@ def shear_div_linear(f, a, b, p):
     return zreduce(zsubstitute(quot, 1, 0, b, 1), p), zreduce(zsubstitute(rem, 1, 0, b, 1), p)
 
 
+@lru_cache(maxsize=None)
+def power_product_act_matrix(p: int, entries, d: int) -> tuple[tuple[int, ...], ...]:
+    """The substitution matrix on the degree-d slice (row k = the image of
+    x^{d-k} y^k) as the products (a x + c y)^{d-k} (b x + d y)^k of powers
+    of the two image forms."""
+    a, b, c, dd = entries
+
+    def product(f, g):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, u in enumerate(f):
+            for j, v in enumerate(g):
+                out[i + j] = (out[i + j] + u * v) % p
+        return out
+
+    pow_x, pow_y = [[1]], [[1]]
+    for _ in range(d):
+        pow_x.append(product(pow_x[-1], [a, c]))
+        pow_y.append(product(pow_y[-1], [b, dd]))
+    return tuple(tuple(product(pow_x[d - k], pow_y[k])) for k in range(d + 1))
+
+
 def _apply_action(g: Mat2, v: Sequence[int], d: int) -> list[int]:
     p = g.p
     n = d + 1
     if g.is_diagonal():
         a, dd = g.a, g.d
         return [v[k] * pow(a, d - k, p) * pow(dd, k, p) % p for k in range(n)]
-    mat = act_matrix(p, g.entries, d)
+    mat = power_product_act_matrix(p, g.entries, d)
     out = [0] * n
     for k, c in enumerate(v):
         if c:
@@ -256,7 +279,7 @@ def substitution_delta_rows(op, d: int) -> tuple[tuple[int, ...], ...]:
     slice (row k = the image of x^{d-k} y^k), as (action matrix - identity)
     divided row by row by the reflection's linear form."""
     p = op.p
-    mat = act_matrix(p, op.matrix.entries, d)
+    mat = power_product_act_matrix(p, op.matrix.entries, d)
     rows = []
     for k in range(d + 1):
         diff = [(a - (1 if i == k else 0)) % p for i, a in enumerate(mat[k])]

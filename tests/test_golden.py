@@ -23,6 +23,11 @@ CASES = [
     ("gen_p11_transvections.json", ["gen", "--prime", "11", "--reflections", "1,1;0,1 1,0;1,1"]),
     ("verify_p11_formules.json", ["verify", "--prime", "11", "--theorem", "formules", "--format", "json"]),
     ("verify_p13_formules.json", ["verify", "--prime", "13", "--theorem", "formules", "--format", "json"]),
+    ("gen_p7_upper_diag.json", ["gen", "--prime", "7", "--reflections", "1,1;0,1 3,0;0,1"]),
+    # diagonal reflections only: the operators divide by x and by y
+    ("gen_p7_diagonal.json", ["gen", "--prime", "7", "--reflections", "6,0;0,1 1,0;0,6"]),
+    ("invariants_p7_L1_d60.json", ["invariants", "--prime", "7", "--group", "L:1", "--max-degree", "60"]),
+    ("stable_p7_U1_3.json", ["stable", "--prime", "7", "--group", "U:1,3"]),
 ]
 
 

@@ -76,9 +76,12 @@ def test_is_reflection_examples():
 
 def test_reflection_vsigma():
     # image of (matrix - 1) spans the stated forms
-    assert Reflection(omega(5)).vsigma.as_poly().terms == {(0, 1): 1}
-    assert Reflection(omega_prime(5)).vsigma.as_poly().terms == {(1, 0): 1}
-    assert Reflection(diag(5, 2, 1)).vsigma.as_poly().terms == {(1, 0): 1}
+    form = Reflection(omega(5)).vsigma
+    assert (form.a, form.b) == (0, 1)
+    form = Reflection(omega_prime(5)).vsigma
+    assert (form.a, form.b) == (1, 0)
+    form = Reflection(diag(5, 2, 1)).vsigma
+    assert (form.a, form.b) == (1, 0)
     with pytest.raises(ValueError):
         Reflection(Mat2.identity(5))
 
@@ -94,6 +97,15 @@ def test_catalog_generators_lists():
     assert u21 == [omega_prime(p), diag(p, 2, 1)]
     with pytest.raises(ValueError):
         catalog_generators("L", 5, 3)
+
+
+@pytest.mark.parametrize(
+    "args,index",
+    [(("L", 3, 0), "r=0"), (("U", 3, 1, 0), "s=0"), (("L", 3, -2), "r=-2"), (("U", 3, -1, 2), "r=-1")],
+)
+def test_catalog_refuses_an_index_that_is_not_a_positive_divisor(args, index):
+    with pytest.raises(ValueError, match=f"^{index} is not a positive divisor"):
+        catalog_group(*args)
 
 
 def test_classify_examples():

@@ -1,7 +1,9 @@
 """Polynomials: named constructors, the matrix action, exact division,
 the text grammar, and the identity verifier."""
 
+import inspect
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +11,13 @@ from hypothesis import strategies as st
 
 from modinv import poly2
 from modinv.graded_ideal import GradedIdeal
-from modinv.grp2 import Mat2, diag, omega, omega_prime
+from modinv.grp2 import Mat2, all_invertible, all_reflections, diag, omega, omega_prime
 from modinv.poly2 import (
     LinearForm,
     NotDivisibleError,
     Poly2,
     act,
+    act_matrix,
     div_exact_linear,
     divide_slice_by_form,
     format_poly,
@@ -24,6 +27,7 @@ from modinv.poly2 import (
     slice_vector,
 )
 from oracles import (
+    power_product_act_matrix,
     same_poly,
     shear_div_linear,
     slice_span_verdicts,
@@ -166,7 +170,45 @@ def test_act_preserves_homogeneity():
         assert g.is_zero() or (g.is_homogeneous() and g.degree() == 6)
 
 
+@pytest.mark.parametrize("p", PRIMES)
+def test_act_matrix_and_act_match_power_products(p):
+    # every invertible matrix at p <= 3; every reflection and 20 seeded
+    # random invertibles at p = 5, 7
+    if p <= 3:
+        mats = list(all_invertible(p))
+    else:
+        rng = random.Random(200 + p)
+        mats = all_reflections(p) + [_random_invertible(rng, p) for _ in range(20)]
+    for m in mats:
+        for d in range(31):
+            expected = power_product_act_matrix(p, m.entries, d)
+            assert act_matrix(p, m.entries, d) == expected, (m, d)
+            for k in range(d + 1):
+                image = act(m, Poly2.monomial(p, 1, d - k, k))
+                assert image == poly_from_slice(p, d, expected[k]), (m, d, k)
+
+
+def test_act_matrix_cold_call_is_shallow():
+    # a cold call builds the degrees below it without recursing once per
+    # degree: at degree 150 it stays within 200 levels of the caller, where
+    # recursing once per degree takes about 300
+    entries = omega(7).entries
+    d = 150
+    act_matrix.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 200)
+    try:
+        rows = act_matrix(7, entries, d)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert rows == power_product_act_matrix(7, entries, d)
+
+
 # -- division ------------------------------------------------------------------
+
+
+def _form_poly(form):
+    return Poly2(form.p, {(1, 0): form.a, (0, 1): form.b})
 
 
 def test_div_exact_linear_freshman_dream():
@@ -183,7 +225,7 @@ def test_div_exact_linear_roundtrip():
         for _ in range(20):
             g = random_poly(rng, p, max_deg=4, terms=3)
             form = LinearForm(p, rng.randrange(p), 1 + rng.randrange(p - 1) if p > 2 else 1)
-            f = form.as_poly() * g
+            f = _form_poly(form) * g
             assert div_exact_linear(f, form) == g
 
 
@@ -211,7 +253,7 @@ def test_div_exact_linear_matches_shear_oracle(p):
     for form in forms:
         for _ in range(3):
             g = random_poly(rng, p, max_deg=5, terms=4)
-            for f in (g, form.as_poly() * g):
+            for f in (g, _form_poly(form) * g):
                 quot, rem = shear_div_linear(dict(f.terms), form.a, form.b, p)
                 if rem:
                     with pytest.raises(NotDivisibleError) as exc:
@@ -230,7 +272,7 @@ def test_divide_slice_matches_poly_division():
             if g.is_zero():
                 continue
             form = LinearForm(p, rng.randrange(2), 1)
-            f = form.as_poly() * g
+            f = _form_poly(form) * g
             vec = slice_vector(f, d)
             q_vec = divide_slice_by_form(vec, form, p)
             assert poly_from_slice(p, d - 1, q_vec) == div_exact_linear(f, form)

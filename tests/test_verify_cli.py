@@ -277,10 +277,12 @@ def test_mutation_stableU(monkeypatch):
 def test_mutation_genL(monkeypatch):
     original = demazure.delta_slice_rows
 
-    def twisted(op, d):
-        rows = [list(r) for r in original(op, d)]
-        if d == 4:
-            rows[1][0] = (rows[1][0] + 1) % op.p
+    def twisted(op, d, ks):
+        ks = list(ks)
+        rows = [list(r) for r in original(op, d, ks)]
+        if d == 4 and 1 in ks:
+            i = ks.index(1)
+            rows[i][0] = (rows[i][0] + 1) % op.p
         return tuple(tuple(r) for r in rows)
 
     monkeypatch.setattr(demazure, "delta_slice_rows", twisted)
