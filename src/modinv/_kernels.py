@@ -1,32 +1,83 @@
-"""Kernel backend selection.
+"""Dense row operations over F_p on lists of ints.
 
-The compiled core is used when it was built; otherwise the pure Python
-reference takes over. The compiled core computes in C long, where a product
-of two residues overflows once p >= 2**31, so calls with such a prime go to
-the pure kernels, and so do convolutions with an empty operand, which the
-compiled core cannot allocate.
+These three functions are the hot loops of the engine: every echelon form,
+ideal slice and polynomial action matrix bottoms out here. Vectors are
+plain lists of ints in [0, p), and the arithmetic is exact for every prime.
+The tall stacks of ``fp_linalg.kernel`` do not come here row by row: that
+function packs each row into one integer and eliminates on the packed rows,
+and hands only its echelon rows to ``rref``.
 """
-
-from modinv import _core_py
-
-try:
-    from modinv import _core_c as _impl  # type: ignore[attr-defined]
-except ImportError:
-    _impl = _core_py
-
-rref, reduce_row, convolve = _core_py.rref, _core_py.reduce_row, _core_py.convolve
-if _impl is not _core_py:
-
-    def rref(rows, p):
-        return (_impl if p < 2**31 else _core_py).rref(rows, p)
-
-    def reduce_row(v, basis, pivots, p):
-        return (_impl if p < 2**31 else _core_py).reduce_row(v, basis, pivots, p)
-
-    def convolve(a, b, p):
-        return (_impl if p < 2**31 and a and b else _core_py).convolve(a, b, p)
 
 
 def backend() -> str:
-    """Name of the active kernel backend: 'c' or 'python'."""
-    return _impl.BACKEND
+    """Name of the kernel backend, recorded with benchmark results."""
+    return "python"
+
+
+def rref(rows, p):
+    """Reduced row echelon form of a list of equal-length rows over F_p.
+
+    Returns ``(basis, pivots)`` where ``basis`` holds the nonzero RREF rows
+    and ``pivots`` the strictly increasing pivot columns. The input list and
+    its rows are left untouched.
+    """
+    work = [list(r) for r in rows if any(r)]
+    if not work:
+        return [], []
+    n = len(work[0])
+    m = len(work)
+    pivots = []
+    r = 0
+    for c in range(n):
+        pr = -1
+        for i in range(r, m):
+            if work[i][c]:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        work[r], work[pr] = work[pr], work[r]
+        head = work[r]
+        inv = pow(head[c], -1, p)
+        if inv != 1:
+            head = work[r] = [(x * inv) % p for x in head]
+        for i in range(m):
+            if i != r:
+                f = work[i][c]
+                if f:
+                    row = work[i]
+                    work[i] = [(a - f * b) % p for a, b in zip(row, head)]
+        pivots.append(c)
+        r += 1
+        if r == m:
+            break
+    return work[:r], pivots
+
+
+def reduce_row(v, basis, pivots, p):
+    """Reduce ``v`` against an RREF basis: the canonical coset representative.
+
+    The result has a zero in every pivot column, so it is zero exactly when
+    ``v`` lies in the row span.
+    """
+    out = list(v)
+    for row, c in zip(basis, pivots):
+        f = out[c] % p
+        if f:
+            out = [(a - f * b) % p for a, b in zip(out, row)]
+    if any(x % p for x in out):
+        return [x % p for x in out]
+    return [0] * len(out)
+
+
+def convolve(a, b, p):
+    """Coefficient convolution mod p: the product of two dense coefficient
+    vectors, used for homogeneous polynomial slice arithmetic."""
+    la, lb = len(a), len(b)
+    out = [0] * (la + lb - 1)
+    for i, ai in enumerate(a):
+        if ai:
+            for j, bj in enumerate(b):
+                if bj:
+                    out[i + j] = (out[i + j] + ai * bj) % p
+    return out

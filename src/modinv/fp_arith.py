@@ -13,10 +13,11 @@ _PRIMES_SEEN: set[int] = set()
 
 def check_prime(p: int) -> int:
     """Validate that p is prime (trial division, cached) and return it."""
-    if p in _PRIMES_SEEN:
-        return p
+    # the type test comes before the cache: 3.0 would hit a cached 3, and [3] is unhashable
     if not isinstance(p, int) or p < 2:
         raise ValueError(f"modulus must be a prime >= 2, got {p!r}")
+    if p in _PRIMES_SEEN:
+        return p
     d = 2
     while d * d <= p:
         if p % d == 0:

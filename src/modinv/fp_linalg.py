@@ -6,8 +6,18 @@ its pivot plus its entries on the free (non-pivot) columns, and the
 reduction of any vector modulo the subspace is read off those columns
 alone: v[f] - sum over the pivots c with v[c] != 0 of v[c] * row_c[f]. Sums
 (``Subspace.sum``, ``Subspace.shift``) and preimages work on that small
-block of free columns; spans, kernels and membership call the kernel
-primitives in ``_kernels`` on whole rows.
+block of free columns; spans and membership call the list primitives in
+``_kernels`` on whole rows.
+
+``kernel`` serves the tall stacks of operator images in ``preimage``, whose
+kernel is often empty. It packs each row into one integer, w bits per
+column with w the bit length of p + ncols * (p - 1)**2, and eliminates
+on the packed rows (Kronecker substitution), reading a slot mod p only
+where an entry is needed (delayed reduction). Every basis row is stored
+reduced, so a row reduced against at most ncols - 1 of them keeps each
+slot below 2**w. The rows are added one at a time and the kernel is zero
+as soon as the rank reaches ncols; otherwise the at most ncols echelon
+rows go to ``_kernels.rref``.
 """
 
 from __future__ import annotations
@@ -149,16 +159,50 @@ class Subspace:
         return f"Subspace(p={self.p}, ncols={self.ncols}, dim={self.dim})"
 
 
+def _pack(row: Sequence[int], w: int) -> int:
+    """The row as one integer: entry j in bits j*w up to (j + 1)*w."""
+    v = 0
+    for x in reversed(row):
+        v = (v << w) | x
+    return v
+
+
 def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
     """Null space {x : M x = 0} of the matrix whose rows are given.
 
-    rank(M) + dim(kernel) = ncols.
+    rank(M) + dim(kernel) = ncols. The rows join an echelon basis one at a
+    time, in the order given, and the kernel is zero as soon as the rank
+    reaches ncols, however many rows are left.
     """
     check_prime(p)
     for r in rows:
         if len(r) != ncols:
             raise ValueError("matrix rows must all have length ncols")
-    basis, pivots = _kernels.rref(list(rows), p)
+    # slot bound: see the module docstring
+    w = (p + ncols * (p - 1) ** 2).bit_length()
+    mask = (1 << w) - 1
+    shifts = range(0, ncols * w, w)
+    heads: list[tuple[int, int]] = []  # (pivot slot shift, packed row), in insertion order
+    echelon: list[list[int]] = []
+    for r in rows:
+        v = _pack([x % p for x in r], w)
+        for s, b in heads:
+            f = (v >> s & mask) % p
+            if f:
+                v += (p - f) * b
+        u = [(v >> s & mask) % p for s in shifts]
+        for c, x in enumerate(u):
+            if x:
+                break
+        else:
+            continue
+        inv = pow(x, -1, p)
+        u = [y * inv % p for y in u]
+        heads.append((c * w, _pack(u, w)))
+        echelon.append(u)
+        if len(echelon) == ncols:
+            return Subspace.zero(p, ncols)
+    basis, pivots = _kernels.rref(echelon, p)
     pivot_set = set(pivots)
     free = [c for c in range(ncols) if c not in pivot_set]
     vectors = []

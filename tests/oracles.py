@@ -10,7 +10,8 @@ iterated fixed-subspace kernel, the operator rows from that matrix, the
 generalized invariant levels searched over every coordinate, the dense
 slices behind formules items 5 and 6, ideal equality by
 generator membership, the shift and sum of subspaces by one dense RREF of
-all their rows, the preimage through full reductions), kept as references
+all their rows, the kernel by one RREF of every row, the preimage through
+full reductions), kept as references
 to compare with.
 """
 
@@ -20,8 +21,9 @@ from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
+from modinv import _kernels
 from modinv.fp_arith import check_prime
-from modinv.fp_linalg import Subspace, kernel
+from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import GradedIdeal, degree_generators, minimal_generators
 from modinv.grp2 import Mat2
 from modinv.poly2 import Poly2, divide_slice_by_form
@@ -215,12 +217,28 @@ def _apply_action(g: Mat2, v: Sequence[int], d: int) -> list[int]:
     return out
 
 
+def rref_kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
+    """``fp_linalg.kernel`` by one list RREF of every row: a null vector
+    for each free column, read off the reduced rows."""
+    basis, pivots = _kernels.rref([[x % p for x in r] for r in rows], p)
+    pivot_set = set(pivots)
+    vectors = []
+    for c in range(ncols):
+        if c not in pivot_set:
+            v = [0] * ncols
+            v[c] = 1
+            for row, pc in zip(basis, pivots):
+                v[pc] = (-row[c]) % p
+            vectors.append(v)
+    return Subspace.span(p, ncols, vectors)
+
+
 def _left_kernel(rows: list[list[int]], p: int) -> list[list[int]]:
     # coefficient vectors c with sum_i c_i rows[i] = 0
     k = len(rows)
     n = len(rows[0]) if rows else 0
     transposed = [[rows[i][j] for i in range(k)] for j in range(n)]
-    return [list(r) for r in kernel(transposed, k, p).rows]
+    return [list(r) for r in rref_kernel(transposed, k, p).rows]
 
 
 def iterated_invariant_slice(
@@ -321,7 +339,7 @@ def full_reduce_preimage(p: int, ncols: int, coords, maps, modulo: Subspace) -> 
         reduced = [modulo.reduce(v) for v in images]
         rows += [[w[j] for w in reduced] for j in free]
     vectors = []
-    for c in kernel(rows, len(coords), p).rows:
+    for c in rref_kernel(rows, len(coords), p).rows:
         v = [0] * ncols
         for k, x in zip(coords, c):
             v[k] = x

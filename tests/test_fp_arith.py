@@ -7,6 +7,7 @@ import pytest
 from modinv.fp_arith import (
     FpScalar,
     binomial_sum_check,
+    check_prime,
     divisors,
     inv,
     lucas_binom,
@@ -45,6 +46,14 @@ def test_composite_modulus_rejected():
     for bad in [1, 4, 9, 15]:
         with pytest.raises(ValueError):
             FpScalar(1, bad)
+
+
+@pytest.mark.parametrize("bad", [3.0, 7.0, [3], "3", None])
+def test_check_prime_rejects_non_integers_after_the_prime_was_cached(bad):
+    check_prime(3)
+    check_prime(7)
+    with pytest.raises(ValueError):
+        check_prime(bad)
 
 
 def test_modulus_mismatch_rejected():

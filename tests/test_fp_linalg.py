@@ -6,9 +6,9 @@ import random
 import pytest
 
 from modinv.fp_linalg import Subspace, kernel, preimage
-from oracles import dense_shift, dense_sum, full_reduce_preimage
+from oracles import dense_shift, dense_sum, full_reduce_preimage, rref_kernel
 
-BIG_PRIMES = [2**31 - 1, 4294967311]  # the top of the compiled range, and above it
+BIG_PRIMES = [2**31 - 1, 4294967311]  # (p - 1)**2 takes 62 and 65 bits: packed slots past 64 bits
 
 
 def random_subspace(rng, p, n, k):
@@ -39,6 +39,10 @@ def test_kernel_examples():
     assert kernel([[0, 0, 0, 0], [0, 0, 0, 0]], 4, 5).is_full
     k = kernel([[1, 1]], 2, 2)
     assert k.rows == ((1, 1),)
+    # entries are read mod p
+    assert kernel([[3, 1]], 2, 3) == Subspace.span(3, 2, [[1, 0]])
+    assert kernel([[-1, 1], [5, -5]], 2, 5) == Subspace.span(5, 2, [[1, 1]])
+    assert kernel([[-2, 0, 7], [0, -3, 0]], 3, 7) == Subspace.span(7, 3, [[0, 0, 1]])
 
 
 def test_kernel_rank_nullity_and_annihilation():
@@ -53,6 +57,37 @@ def test_kernel_rank_nullity_and_annihilation():
         for v in ker.rows:
             for row in rows:
                 assert sum(a * b for a, b in zip(row, v)) % p == 0
+
+
+def _kernel_stack(rng, p, n):
+    """0 to 3n rows of length n: zero, duplicate, dependent, sparse and
+    dense rows with entries in [-p, 2p), some stacks led by the identity so
+    that they reach rank n first and go on."""
+    rows = [[int(i == j) for j in range(n)] for i in range(n)] if rng.random() < 0.3 else []
+    for _ in range(rng.randrange(0, 3 * n + 1)):
+        kind = rng.randrange(5)
+        if kind == 0 or not rows:
+            rows.append([0] * n)
+        elif kind == 1:
+            rows.append(list(rng.choice(rows)))
+        elif kind == 2:
+            a, b = rng.choice(rows), rng.choice(rows)
+            f, g = rng.randrange(p), rng.randrange(p)
+            rows.append([f * x + g * y for x, y in zip(a, b)])
+        elif kind == 3:
+            rows += _random_rows(rng, p, n, 1)
+        else:
+            rows.append([rng.randrange(-p, 2 * p) for _ in range(n)])
+    return rows
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 65537] + BIG_PRIMES)
+def test_kernel_matches_rref_oracle(p):
+    rng = random.Random(p % 1009)
+    for _ in range(150):
+        n = rng.randrange(0, 9)
+        rows = _kernel_stack(rng, p, n)
+        assert kernel(rows, n, p) == rref_kernel(rows, n, p)
 
 
 @pytest.mark.parametrize("p", [2, 3])
