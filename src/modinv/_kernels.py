@@ -77,7 +77,7 @@ def convolve(a, b, p):
     out = [0] * (la + lb - 1)
     for i, ai in enumerate(a):
         if ai:
-            for j, bj in enumerate(b):
+            for j, bj in enumerate(b, i):
                 if bj:
-                    out[i + j] = (out[i + j] + ai * bj) % p
+                    out[j] = (out[j] + ai * bj) % p
     return out

@@ -10,7 +10,9 @@ kills it.
 
 On the degree-d slice an operator's matrix is (A - 1) / v: the
 substitution matrix ``act_matrix`` minus the identity, each row divided
-by v. Each operator is a twisted derivation, D(f g) = D(f) g + sigma(f)
+by v. Only the rows of the searched coordinates are built, each on
+demand from cached powers of the reflection's two image forms. Each
+operator is a twisted derivation, D(f g) = D(f) g + sigma(f)
 D(g), so the generalized invariants form an ideal. Its homogeneous
 pieces are computed by a per-degree dynamic program: f of degree d is
 generalized invariant iff every single operator sends it into the
@@ -85,14 +87,14 @@ def delta_slice_rows(op: Reflection | Mat2, d: int, ks: Iterable[int]) -> tuple[
     """Rows k in ks of the matrix of the operator of a reflection (a
     ``Reflection`` or its ``Mat2``) on the degree-d slice: row k is the
     image of x^{d-k} y^k, as a degree d-1 slice vector. It is row k of
-    ``act_matrix`` minus the unit vector at k, divided by the reflection's
-    linear form."""
+    ``act_matrix``, asked for those rows only, minus the unit vector at k,
+    divided by the reflection's linear form."""
     op = _reflection(op)
     p = op.p
-    mat = act_matrix(p, op.matrix.entries, d)
+    ks = list(ks)
     rows = []
-    for k in ks:
-        row = list(mat[k])
+    for k, image in zip(ks, act_matrix(p, op.matrix.entries, d, ks)):
+        row = list(image)
         row[k] = (row[k] - 1) % p
         rows.append(tuple(divide_slice_by_form(row, op.vsigma, p)))
     return tuple(rows)

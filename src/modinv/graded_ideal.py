@@ -255,7 +255,8 @@ def invariant_slice(
     x^{d-k} y^k every diagonal generator diag(a, b) fixes (a^{d-k} b^k = 1)
     are searched; reduction leaves their unit vectors alone, so this filter
     is exact. The rest is one ``preimage`` of the modulo slice under
-    (action - 1) of the non-diagonal generators.
+    (action - 1) of the non-diagonal generators, whose ``act_matrix`` rows
+    are built for the searched coordinates only.
     """
     check_prime(p)
     for g in gens:
@@ -271,8 +272,8 @@ def invariant_slice(
             coords = [k for k in coords if pow(g.a, d - k, p) * pow(g.d, k, p) % p == 1]
     if not coords:
         return Subspace.zero(p, n)
-    mats = [act_matrix(p, g.entries, d) for g in gens if not g.is_diagonal()]
-    maps = [[[(x - (j == k)) % p for j, x in enumerate(m[k])] for k in coords] for m in mats]
+    mats = [act_matrix(p, g.entries, d, coords) for g in gens if not g.is_diagonal()]
+    maps = [[[(x - (j == k)) % p for j, x in enumerate(r)] for k, r in zip(coords, m)] for m in mats]
     return preimage(p, n, coords, maps, sl)
 
 

@@ -10,9 +10,12 @@ Action convention: a matrix A = [[a, b], [c, d]] substitutes the row
 vector (x, y) by (x, y) A, so x -> a x + c y and y -> b x + d y. Under
 this convention the transvection [[1, 0], [1, 1]] sends x to x + y and
 fixes y, and act(A, act(B, f)) == act(A B, f). The action on the degree-d
-slice is one matrix, ``act_matrix``, built from the degree d-1 matrix by
-one multiplication by a x + c y or b x + d y per row; ``act`` reads its
-rows.
+slice is one matrix, ``act_matrix``, whose row k is the image
+(a x + c y)^{d-k} (b x + d y)^k of x^{d-k} y^k. Rows are built on demand,
+each from two cached powers of the image forms a x + c y and b x + d y, and
+callers ask only for the rows they use; ``act`` asks for one row per term.
+The power tables hold O(D^2) entries per form through degree D, where a
+cache of whole matrices would hold O(D^3) per matrix.
 
 Degree-slice encoding: a homogeneous polynomial of degree d is the vector
 of coefficients of (x^d, x^{d-1} y, ..., y^d); index = exponent of y.
@@ -21,8 +24,9 @@ of coefficients of (x^d, x^{d-1} y, ..., y^d); index = exponent of y.
 from __future__ import annotations
 
 import re
+import threading
 from functools import lru_cache
-from typing import Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from modinv import _kernels
 from modinv.fp_arith import check_prime, inv_mod
@@ -225,48 +229,82 @@ def act(mat, f: Poly2) -> Poly2:
 
     ``mat`` carries ``p`` and ``entries == (a, b, c, d)`` row-major. The
     image of the term c x^i y^j is c times row j of ``act_matrix`` at
-    degree i + j.
+    degree i + j; each degree asks for the rows of its terms only.
     """
     if mat.p != f.p:
         raise ValueError(f"prime mismatch: {mat.p} vs {f.p}")
     if not f.terms:
         return f
     p = f.p
-    out: dict[tuple[int, int], int] = {}
+    by_degree: dict[int, list[tuple[int, int]]] = {}
     for (i, j), coeff in f.terms.items():
-        deg = i + j
-        for k, v in enumerate(act_matrix(p, mat.entries, deg)[j]):
-            if v:
-                key = (deg - k, k)
-                w = (out.get(key, 0) + coeff * v) % p
-                if w:
-                    out[key] = w
-                elif key in out:
-                    del out[key]
+        by_degree.setdefault(i + j, []).append((j, coeff))
+    out: dict[tuple[int, int], int] = {}
+    for deg, terms in by_degree.items():
+        rows = act_matrix(p, mat.entries, deg, [j for j, _ in terms])
+        for (_, coeff), row in zip(terms, rows):
+            for k, v in enumerate(row):
+                if v:
+                    key = (deg - k, k)
+                    w = (out.get(key, 0) + coeff * v) % p
+                    if w:
+                        out[key] = w
+                    elif key in out:
+                        del out[key]
     return Poly2(p, out)
 
 
-# A cold call builds the degrees below it in blocks of this many, so it
-# never recurses deeper than one block.
-_ROWS_BLOCK = 64
+@lru_cache(maxsize=64)
+def _power_table(p: int, form: tuple[int, int]) -> list[tuple[int, ...]]:
+    # slice vectors of (u x + v y)^n for n = 0, 1, ...; only _powers grows it
+    return [(1,)]
 
 
-@lru_cache(maxsize=8192)
-def act_matrix(p: int, entries: tuple[int, int, int, int], d: int) -> tuple[tuple[int, ...], ...]:
-    """Matrix of the substitution action on the degree-d slice.
+_powers_lock = threading.Lock()
 
-    Row k is the slice vector of the image of x^{d-k} y^k, built from the
-    matrix one degree below: x^{d-k} y^k = x * x^{d-1-k} y^k for k < d and
-    y^d = y * y^{d-1}, and x, y go to a x + c y and b x + d y.
+
+def _powers(p: int, form: tuple[int, int], n: int) -> list[tuple[int, ...]]:
+    """The power table of the linear form u x + v y, through exponent n.
+
+    A table grows by one length-2 convolve per new power. Growth is
+    serialized and appends only whole entries, so a reader never sees a
+    half-built table.
     """
-    if d == 0:
-        return ((1,),)
+    table = _power_table(p, form)
+    if len(table) <= n:
+        with _powers_lock:
+            while len(table) <= n:
+                table.append(tuple(_kernels.convolve(table[-1], form, p)))
+    return table
+
+
+def act_matrix(
+    p: int, entries: tuple[int, int, int, int], d: int, ks: Iterable[int]
+) -> tuple[tuple[int, ...], ...]:
+    """Rows k in ks, in that order, of the matrix of the substitution action
+    on the degree-d slice.
+
+    Row k is the slice vector of the image of x^{d-k} y^k, which is
+    (a x + c y)^{d-k} (b x + d y)^k: one convolve of two cached powers of
+    the image forms, the operand with fewer nonzero entries outermost.
+    ``convolve`` skips zero entries, so when one image form is a monomial
+    (a triangular matrix) a row costs O(d).
+    """
+    if d < 0:
+        raise ValueError(f"negative degree {d}")
+    ks = list(ks)
+    if ks and not 0 <= min(ks) <= max(ks) <= d:
+        bad = next(k for k in ks if not 0 <= k <= d)
+        raise ValueError(f"row {bad} outside 0..{d}")
     a, b, c, dd = entries
-    for e in range(_ROWS_BLOCK, d - 1, _ROWS_BLOCK):
-        act_matrix(p, entries, e)
-    prev = act_matrix(p, entries, d - 1)
-    rows = [tuple(_kernels.convolve(row, (a, c), p)) for row in prev]
-    rows.append(tuple(_kernels.convolve(prev[d - 1], (b, dd), p)))
+    xs = _powers(p, (a, c), d)
+    ys = _powers(p, (b, dd), d)
+    rows = []
+    for k in ks:
+        u, v = xs[d - k], ys[k]
+        if len(u) - u.count(0) > len(v) - v.count(0):
+            u, v = v, u
+        rows.append(tuple(_kernels.convolve(u, v, p)))
     return tuple(rows)
 
 

@@ -202,6 +202,20 @@ def power_product_act_matrix(p: int, entries, d: int) -> tuple[tuple[int, ...], 
     return tuple(tuple(product(pow_x[d - k], pow_y[k])) for k in range(d + 1))
 
 
+def recurrence_act_matrix(p: int, entries, prev) -> tuple[tuple[int, ...], ...]:
+    """The substitution matrix on the degree-d slice from the one on the
+    degree d-1 slice, ``prev`` (``((1,),)`` at degree 0): x^{d-k} y^k is
+    x * x^{d-1-k} y^k for k < d and y * y^{d-1} for k = d, and x, y go to
+    a x + c y and b x + d y, so each row is one row of prev times a linear
+    form."""
+    a, b, c, dd = entries
+
+    def times(row, u, v):
+        return tuple([(u * s + v * t) % p for s, t in zip(row + (0,), (0,) + row)])
+
+    return tuple(times(row, a, c) for row in prev) + (times(prev[-1], b, dd),)
+
+
 def _apply_action(g: Mat2, v: Sequence[int], d: int) -> list[int]:
     p = g.p
     n = d + 1

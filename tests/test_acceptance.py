@@ -4,8 +4,12 @@ Every comparison is exact (these are finite objects over F_p); the stated
 runtime budgets are asserted where the criterion fixes one.
 """
 
+import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 from modinv import poly2
 from modinv.demazure import brute_force_is_gen_inv, generalized_ideal, verify_operadorsD
@@ -350,3 +354,37 @@ def test_criterion_15_generalized_invariants_at_p11():
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"budget 10s exceeded: {elapsed:.2f}s"
     _announce(15, "genL/genU at p = 11", started)
+
+
+_MEMORY_PROBE = """
+import resource
+from modinv.demazure import generalized_ideal
+from modinv.grp2 import catalog_generators
+
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+for refl in (catalog_generators("L", 11, 1), catalog_generators("U", 11, 10, 10)):
+    generalized_ideal(refl)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss)
+"""
+
+
+def test_criterion_16_generalized_invariants_at_p11_memory():
+    # a fresh interpreter computes criterion 15's ideals; its peak resident
+    # size may grow by at most 10 MB past the import (ru_maxrss is in KiB).
+    # Linux carries the peak of the process that execs into a program over
+    # to it, so a small interpreter starts the probe, not this process.
+    started = time.perf_counter()
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    launcher = "import subprocess, sys; subprocess.run([sys.executable, '-c', sys.argv[1]], check=True)"
+    out = subprocess.run(
+        [sys.executable, "-c", launcher, _MEMORY_PROBE],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.split()
+    after_import, at_end = (int(x) for x in out)
+    growth_mb = (at_end - after_import) / 1024
+    assert growth_mb <= 10.0, f"peak RSS grew by {growth_mb:.1f} MB past the import"
+    _announce(16, "genL/genU at p = 11 memory", started)

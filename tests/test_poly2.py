@@ -3,6 +3,7 @@ the text grammar, and the identity verifier."""
 
 import inspect
 import random
+import re
 import sys
 
 import pytest
@@ -11,7 +12,17 @@ from hypothesis import strategies as st
 
 from modinv import poly2
 from modinv.graded_ideal import GradedIdeal
-from modinv.grp2 import Mat2, all_invertible, all_reflections, diag, omega, omega_prime
+from modinv.fp_arith import divisors
+from modinv.grp2 import (
+    Mat2,
+    all_invertible,
+    all_reflections,
+    catalog_generators,
+    diag,
+    is_reflection,
+    omega,
+    omega_prime,
+)
 from modinv.poly2 import (
     LinearForm,
     NotDivisibleError,
@@ -28,6 +39,7 @@ from modinv.poly2 import (
 )
 from oracles import (
     power_product_act_matrix,
+    recurrence_act_matrix,
     same_poly,
     shear_div_linear,
     slice_span_verdicts,
@@ -182,26 +194,81 @@ def test_act_matrix_and_act_match_power_products(p):
     for m in mats:
         for d in range(31):
             expected = power_product_act_matrix(p, m.entries, d)
-            assert act_matrix(p, m.entries, d) == expected, (m, d)
+            assert act_matrix(p, m.entries, d, range(d + 1)) == expected, (m, d)
             for k in range(d + 1):
                 image = act(m, Poly2.monomial(p, 1, d - k, k))
                 assert image == poly_from_slice(p, d, expected[k]), (m, d, k)
 
 
 def test_act_matrix_cold_call_is_shallow():
-    # a cold call builds the degrees below it without recursing once per
-    # degree: at degree 150 it stays within 200 levels of the caller, where
+    # a cold call grows the power tables without recursing once per degree:
+    # at degree 150 it stays within 200 levels of the caller, where
     # recursing once per degree takes about 300
     entries = omega(7).entries
     d = 150
-    act_matrix.cache_clear()
+    poly2._power_table.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 200)
     try:
-        rows = act_matrix(7, entries, d)
+        rows = act_matrix(7, entries, d, range(d + 1))
     finally:
         sys.setrecursionlimit(limit)
     assert rows == power_product_act_matrix(7, entries, d)
+
+
+def _seeded_non_triangular_reflections(rng, p, count):
+    out = []
+    while len(out) < count:
+        a, b, c, d = (rng.randrange(p) for _ in range(4))
+        if b and c and (a * d - b * c) % p and is_reflection(Mat2(p, a, b, c, d)):
+            out.append(Mat2(p, a, b, c, d))
+    return out
+
+
+def _catalog_matrices(p):
+    mats = {}
+    for r in divisors(p - 1):
+        groups = [catalog_generators("L", p, r)]
+        groups += [catalog_generators("U", p, r, s) for s in divisors(p - 1)]
+        for gens in groups:
+            mats.update((refl.matrix, None) for refl in gens)
+    return list(mats)
+
+
+def test_act_matrix_rows_match_recurrence_oracle():
+    # every reflection at p <= 5; the catalog generators and 20 seeded
+    # non-triangular reflections at p = 7 and 11. Each degree asks for one
+    # kind of row list in turn: all rows, a sorted random subset of up to 4
+    # rows, an unsorted one, none.
+    rng = random.Random(1606)
+    cases = [(p, m) for p in (2, 3, 5) for m in all_reflections(p)]
+    for p in (7, 11):
+        mats = _catalog_matrices(p) + _seeded_non_triangular_reflections(rng, p, 20)
+        cases += [(p, m) for m in mats]
+    for p, m in cases:
+        expected = ((1,),)
+        for d in range(61):
+            if d:
+                expected = recurrence_act_matrix(p, m.entries, expected)
+            subset = rng.sample(range(d + 1), min(d + 1, 4))
+            ks = (range(d + 1), sorted(subset), subset, [])[d % 4]
+            got = act_matrix(p, m.entries, d, ks)
+            assert got == tuple(expected[k] for k in ks), (m, d, ks)
+
+
+@pytest.mark.parametrize(
+    "d, ks, message",
+    [
+        (-1, [], "negative degree -1"),
+        (-3, [0], "negative degree -3"),
+        (0, [1], "row 1 outside 0..0"),
+        (4, [2, 5], "row 5 outside 0..4"),
+        (4, [0, -1], "row -1 outside 0..4"),
+    ],
+)
+def test_act_matrix_rejects_a_negative_degree_or_a_row_outside_the_slice(d, ks, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        act_matrix(5, (1, 1, 0, 1), d, ks)
 
 
 # -- division ------------------------------------------------------------------
