@@ -47,7 +47,6 @@ from modinv.graded_ideal import (
 )
 from modinv.demazure import (
     GenInvResult,
-    brute_force_is_gen_inv,
     chain,
     generalized_ideal,
     verify_operadorsD,

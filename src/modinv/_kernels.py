@@ -1,8 +1,9 @@
 """Dense row operations over F_p on lists of ints.
 
 These three functions are the hot loops of the engine: every echelon form,
-ideal slice and polynomial action matrix bottoms out here. Vectors are
-plain lists of ints in [0, p), and the arithmetic is exact for every prime.
+reduction modulo a basis, ideal slice and polynomial action matrix bottoms
+out here. Vectors are plain lists of ints in [0, p), and the arithmetic is
+exact for every prime.
 The tall stacks of ``fp_linalg.kernel`` do not come here row by row: that
 function packs each row into one integer and eliminates on the packed rows,
 and hands only its echelon rows to ``rref``.
@@ -54,20 +55,22 @@ def rref(rows, p):
     return work[:r], pivots
 
 
-def reduce_row(v, basis, pivots, p):
-    """Reduce ``v`` against an RREF basis: the canonical coset representative.
-
-    The result has a zero in every pivot column, so it is zero exactly when
-    ``v`` lies in the row span.
+def reduce_row(vectors, basis, pivots, free, p):
+    """Reductions of ``vectors`` modulo the span of an RREF basis, on its
+    non-pivot columns ``free`` alone: the other rows are zero at the pivot
+    c, so v[c] is the coefficient of the row with pivot c. Entries of v may
+    be unreduced or negative; a result is zero iff v lies in the span.
     """
-    out = list(v)
-    for row, c in zip(basis, pivots):
-        f = out[c] % p
-        if f:
-            out = [(a - f * b) % p for a, b in zip(out, row)]
-    if any(x % p for x in out):
-        return [x % p for x in out]
-    return [0] * len(out)
+    blocks = [[r[f] for f in free] for r in basis]
+    out = []
+    for v in vectors:
+        acc = [v[f] for f in free]
+        for c, b in zip(pivots, blocks):
+            x = v[c]
+            if x:
+                acc = [a - x * y for a, y in zip(acc, b)]
+        out.append([a % p for a in acc])
+    return out
 
 
 def convolve(a, b, p):

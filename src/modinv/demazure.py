@@ -8,12 +8,12 @@ by its reflection: the functions here take a ``Reflection`` or its
 reflection set S when every length-k composition of operators from S
 kills it.
 
-On the degree-d slice an operator's matrix is (A - 1) / v: the
-substitution matrix ``act_matrix`` minus the identity, each row divided
-by v. Only the rows of the searched coordinates are built, each on
-demand from cached powers of the reflection's two image forms. Each
-operator is a twisted derivation, D(f g) = D(f) g + sigma(f)
-D(g), so the generalized invariants form an ideal. Its homogeneous
+On the degree-d slice an operator's matrix is (A - 1) / v: the rows of
+``act_minus_identity``, each divided by v. Only the rows of the searched
+coordinates are built, each on demand from cached powers of the
+reflection's two image forms. Each operator is a twisted derivation,
+D(f g) = D(f) g + sigma(f) D(g), so the generalized invariants form an
+ideal. Its homogeneous
 pieces are computed by a per-degree dynamic program: f of degree d is
 generalized invariant iff every single operator sends it into the
 degree d-1 piece. P_1 times the degree d-1 piece (``Subspace.shift``)
@@ -26,7 +26,6 @@ the same program run over every coordinate.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
@@ -37,16 +36,12 @@ from modinv.grp2 import CapExceededError, Mat2, Reflection, omega, omega_prime
 from modinv.poly2 import (
     Poly2,
     act,
-    act_matrix,
+    act_minus_identity,
     divide_slice_by_form,
     div_exact_linear,
     gamma,
     poly_from_slice,
 )
-
-
-class BudgetExceededError(RuntimeError):
-    pass
 
 
 def _reflection(item: Reflection | Mat2) -> Reflection:
@@ -87,17 +82,11 @@ def delta_slice_rows(op: Reflection | Mat2, d: int, ks: Iterable[int]) -> tuple[
     """Rows k in ks of the matrix of the operator of a reflection (a
     ``Reflection`` or its ``Mat2``) on the degree-d slice: row k is the
     image of x^{d-k} y^k, as a degree d-1 slice vector. It is row k of
-    ``act_matrix``, asked for those rows only, minus the unit vector at k,
-    divided by the reflection's linear form."""
+    ``act_minus_identity`` divided by the reflection's linear form."""
     op = _reflection(op)
     p = op.p
-    ks = list(ks)
-    rows = []
-    for k, image in zip(ks, act_matrix(p, op.matrix.entries, d, ks)):
-        row = list(image)
-        row[k] = (row[k] - 1) % p
-        rows.append(tuple(divide_slice_by_form(row, op.vsigma, p)))
-    return tuple(rows)
+    rows = act_minus_identity(p, op.matrix.entries, d, ks)
+    return tuple(tuple(divide_slice_by_form(row, op.vsigma, p)) for row in rows)
 
 
 @dataclass
@@ -176,20 +165,6 @@ def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
         ideal = GradedIdeal(p, [], slice_source=level)
     top = d1 + d2 - 2 if regular else None
     return GenInvResult(ideal=ideal, generators=gens, regular_sequence=regular, top_degree=top)
-
-
-def brute_force_is_gen_inv(s: Sequence, f: Poly2, budget: int = 10**6) -> bool:
-    """Literal enumeration oracle: check every chain of length deg(f)."""
-    ops = _reflections(s)
-    if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
-        raise ValueError("need a nonzero homogeneous polynomial of positive degree")
-    k = f.degree()
-    if len(ops) ** k > budget:
-        raise BudgetExceededError(f"{len(ops)}^{k} chains exceed the budget {budget}")
-    for seq in itertools.product(ops, repeat=k):
-        if not chain(seq, f).is_zero():
-            return False
-    return True
 
 
 # -- the operator identity verifier -------------------------------------------

@@ -4,10 +4,11 @@ Everything is canonical: a subspace is stored as its reduced row echelon
 basis, so equality of subspaces is equality of matrices. A reduced row is
 its pivot plus its entries on the free (non-pivot) columns, and the
 reduction of any vector modulo the subspace is read off those columns
-alone: v[f] - sum over the pivots c with v[c] != 0 of v[c] * row_c[f]. Sums
-(``Subspace.sum``, ``Subspace.shift``) and preimages work on that small
-block of free columns; spans and membership call the list primitives in
-``_kernels`` on whole rows.
+alone: v[f] - sum over the pivots c with v[c] != 0 of v[c] * row_c[f]. That
+reduction is ``_kernels.reduce_row``, on a batch of vectors at once. Sums
+(``Subspace.sum``, ``Subspace.shift``), preimages and membership work on
+that small block of free columns; only spans call ``_kernels.rref`` on
+whole rows.
 
 ``kernel`` serves the tall stacks of operator images in ``preimage``, whose
 kernel is often empty. It packs each row into one integer, w bits per
@@ -79,26 +80,17 @@ class Subspace:
         """Canonical representative of v modulo this subspace."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match ambient dimension")
-        return _kernels.reduce_row(v, self.rows, self.pivots, self.p)
+        free = self.complement()
+        part = _kernels.reduce_row([v], self.rows, self.pivots, free, self.p)[0]
+        return _embed(self.ncols, free, part)
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
 
     def _free_parts(self, rows) -> list[list[int]]:
-        # the reductions of the rows modulo self, on the free columns only
-        # (they vanish on the pivots), from the pivot entries each row has
-        p = self.p
-        free = self.complement()
-        blocks = [[r[f] for f in free] for r in self.rows]
-        out = []
-        for v in rows:
-            acc = [v[f] for f in free]
-            for c, b in zip(self.pivots, blocks):
-                x = v[c]
-                if x:
-                    acc = [a - x * y for a, y in zip(acc, b)]
-            out.append([a % p for a in acc])
-        return out
+        # the reductions of the rows modulo self on the free columns only
+        # (they vanish on the pivots)
+        return _kernels.reduce_row(rows, self.rows, self.pivots, self.complement(), self.p)
 
     def sum(self, other: "Subspace") -> "Subspace":
         """The canonical span of both. Only other's reductions on the free
@@ -112,12 +104,7 @@ class Subspace:
         if not basis:
             return self
         p, n = self.p, self.ncols
-        new = []
-        for b in basis:
-            w = [0] * n
-            for f, x in zip(free, b):
-                w[f] = x
-            new.append(w)
+        new = [_embed(n, free, b) for b in basis]
         heads = [free[c] for c in cols]
         merged = list(zip(heads, new))
         for c, row in zip(self.pivots, self.rows):
@@ -157,6 +144,14 @@ class Subspace:
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ncols={self.ncols}, dim={self.dim})"
+
+
+def _embed(n: int, cols: Sequence[int], values: Sequence[int]) -> list[int]:
+    """The length-n vector with the values at cols and zero elsewhere."""
+    v = [0] * n
+    for c, x in zip(cols, values):
+        v[c] = x
+    return v
 
 
 def _pack(row: Sequence[int], w: int) -> int:
@@ -224,10 +219,5 @@ def preimage(p: int, ncols: int, coords: Sequence[int], maps, modulo: Subspace) 
     rows: list[list[int]] = []
     for images in maps:
         rows += map(list, zip(*modulo._free_parts(images)))
-    vectors = []
-    for c in kernel(rows, len(coords), p).rows:
-        v = [0] * ncols
-        for k, x in zip(coords, c):
-            v[k] = x
-        vectors.append(v)
+    vectors = [_embed(ncols, coords, c) for c in kernel(rows, len(coords), p).rows]
     return Subspace.span(p, ncols, vectors)

@@ -30,9 +30,10 @@ they are built, each from the one below, and not stored.
 ``GradedIdeal.top_degree`` is the one place that refuses a quotient with
 no zero dimension below the degree cap (``InfiniteQuotientError``); every
 caller that needs a finite quotient goes through it. Membership, quotient
-dimensions and the monomial basis checks also live here, together with
-``invariant_slice``, the fixed subspace of a group in P or P/I: one
-``fp_linalg.preimage`` of I_d under (action - 1), the question
+dimensions and the monomial basis checks (by reductions on the free
+columns of a slice) also live here, together with ``invariant_slice``,
+the fixed subspace of a group in P or P/I: one ``fp_linalg.preimage`` of
+I_d under the rows of ``act_minus_identity``, the question
 ``generalized_ideal`` asks of its operators.
 """
 
@@ -44,9 +45,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
 from modinv.fp_arith import check_prime, inv_mod
-from modinv.fp_linalg import Subspace, preimage
+from modinv.fp_linalg import Subspace, kernel, preimage
 from modinv.grp2 import Mat2
-from modinv.poly2 import Poly2, act_matrix, poly_from_slice, slice_vector
+from modinv.poly2 import Poly2, act_minus_identity, poly_from_slice, slice_vector
 
 
 def default_degree_cap(p: int) -> int:
@@ -255,8 +256,8 @@ def invariant_slice(
     x^{d-k} y^k every diagonal generator diag(a, b) fixes (a^{d-k} b^k = 1)
     are searched; reduction leaves their unit vectors alone, so this filter
     is exact. The rest is one ``preimage`` of the modulo slice under
-    (action - 1) of the non-diagonal generators, whose ``act_matrix`` rows
-    are built for the searched coordinates only.
+    (action - 1) of the non-diagonal generators, whose
+    ``act_minus_identity`` rows are built for the searched coordinates only.
     """
     check_prime(p)
     for g in gens:
@@ -272,8 +273,7 @@ def invariant_slice(
             coords = [k for k in coords if pow(g.a, d - k, p) * pow(g.d, k, p) % p == 1]
     if not coords:
         return Subspace.zero(p, n)
-    mats = [act_matrix(p, g.entries, d, coords) for g in gens if not g.is_diagonal()]
-    maps = [[[(x - (j == k)) % p for j, x in enumerate(r)] for k, r in zip(coords, m)] for m in mats]
+    maps = [act_minus_identity(p, g.entries, d, coords) for g in gens if not g.is_diagonal()]
     return preimage(p, n, coords, maps, sl)
 
 
@@ -339,7 +339,10 @@ def basis_check(family: MonomialFamily, ideal: GradedIdeal):
     """Verify that the family descends to a vector space basis of P/I:
     per-degree counts match the quotient dimensions, the images are
     independent modulo the ideal slices, and the total count matches the
-    expected group order (or family size)."""
+    expected group order (or family size). Once the counts match there is
+    one member of degree d per free column of I_d, and the members are
+    independent modulo I_d iff that square block of their reductions has a
+    zero kernel."""
     from modinv.report import Check, timed_report
 
     p = family.p
@@ -364,12 +367,8 @@ def basis_check(family: MonomialFamily, ideal: GradedIdeal):
                 counts_ok = False
                 break
             sl = ideal.slice(d)
-            rows = [list(v) for v in sl.rows]
-            for (i, j) in members:
-                vec = [0] * (d + 1)
-                vec[j] = 1
-                rows.append(vec)
-            if Subspace.span(p, d + 1, rows).dim != sl.dim + len(members):
+            units = [[int(k == j) for k in range(d + 1)] for (_, j) in members]
+            if not kernel(sl._free_parts(units), sl.ncols - sl.dim, p).is_zero:
                 independent_ok = False
                 break
         rep.add(Check.boolean("per_degree_counts_match", counts_ok))

@@ -14,6 +14,7 @@ slice is one matrix, ``act_matrix``, whose row k is the image
 (a x + c y)^{d-k} (b x + d y)^k of x^{d-k} y^k. Rows are built on demand,
 each from two cached powers of the image forms a x + c y and b x + d y, and
 callers ask only for the rows they use; ``act`` asks for one row per term.
+``act_minus_identity`` gives the rows of A - 1 in the same way.
 The power tables hold O(D^2) entries per form through degree D, where a
 cache of whole matrices would hold O(D^3) per matrix.
 
@@ -306,6 +307,19 @@ def act_matrix(
             u, v = v, u
         rows.append(tuple(_kernels.convolve(u, v, p)))
     return tuple(rows)
+
+
+def act_minus_identity(
+    p: int, entries: tuple[int, int, int, int], d: int, ks: Iterable[int]
+) -> list[list[int]]:
+    """Rows k in ks of A - 1 on the degree-d slice, A = ``act_matrix``: row
+    k of A with 1 taken from its entry k. Fixed subspaces and difference
+    operators are both built from these rows."""
+    ks = list(ks)
+    rows = [list(image) for image in act_matrix(p, entries, d, ks)]
+    for k, row in zip(ks, rows):
+        row[k] = (row[k] - 1) % p
+    return rows
 
 
 # -- degree-slice vector codec ----------------------------------------------

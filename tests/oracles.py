@@ -11,20 +11,24 @@ generalized invariant levels searched over every coordinate, the dense
 slices behind formules items 5 and 6, ideal equality by
 generator membership, the shift and sum of subspaces by one dense RREF of
 all their rows, the kernel by one RREF of every row, the preimage through
-full reductions), kept as references
+full reductions, the reduction of a whole row by whole-row subtraction,
+the basis check by one span per degree, generalized invariance by
+enumerating every operator chain), kept as references
 to compare with.
 """
 
 from __future__ import annotations
 
+import itertools
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
 
 from modinv import _kernels
+from modinv.demazure import chain
 from modinv.fp_arith import check_prime
 from modinv.fp_linalg import Subspace
-from modinv.graded_ideal import GradedIdeal, degree_generators, minimal_generators
+from modinv.graded_ideal import GradedIdeal, MonomialFamily, degree_generators, minimal_generators
 from modinv.grp2 import Mat2
 from modinv.poly2 import Poly2, divide_slice_by_form
 
@@ -292,7 +296,7 @@ def iterated_invariant_slice(
         for v in basis:
             w = _apply_action(g, v, d)
             if sl is not None:
-                w = sl.reduce(w)
+                w = dense_reduce_row(w, sl.rows, sl.pivots, p)
             rows.append([(a - b) % p for a, b in zip(w, v)])
         coeffs = _left_kernel(rows, p)
         new_basis = []
@@ -350,7 +354,7 @@ def full_reduce_preimage(p: int, ncols: int, coords, maps, modulo: Subspace) -> 
     free = modulo.complement()
     rows: list[list[int]] = []
     for images in maps:
-        reduced = [modulo.reduce(v) for v in images]
+        reduced = [dense_reduce_row(v, modulo.rows, modulo.pivots, p) for v in images]
         rows += [[w[j] for w in reduced] for j in free]
     vectors = []
     for c in rref_kernel(rows, len(coords), p).rows:
@@ -408,3 +412,52 @@ def generator_ideal_equal(a: GradedIdeal, b: GradedIdeal) -> bool:
     return all(b.member(g) for g in generating_polys(a)) and all(
         a.member(g) for g in generating_polys(b)
     )
+
+
+def dense_reduce_row(v, basis, pivots, p) -> list[int]:
+    """The canonical representative of v modulo the span of an RREF basis,
+    by subtracting whole rows: zero at every pivot, and zero exactly when v
+    lies in the span."""
+    out = list(v)
+    for row, c in zip(basis, pivots):
+        f = out[c] % p
+        if f:
+            out = [(a - f * b) % p for a, b in zip(out, row)]
+    return [x % p for x in out]
+
+
+def span_basis_verdicts(family: MonomialFamily, ideal: GradedIdeal) -> tuple[bool, bool]:
+    """basis_check's per_degree_counts_match and images_independent_mod_ideal
+    verdicts, each degree's independence tested by one span of the slice
+    rows together with the members' unit vectors."""
+    p = family.p
+    dims = ideal.quotient_dims()[0]
+    by_deg = family.by_degree()
+    for d in range(ideal.top_degree() + 1):
+        members = by_deg.get(d, [])
+        if len(members) != dims[d]:
+            return False, True
+        sl = ideal.slice(d)
+        rows = [list(v) for v in sl.rows]
+        for (_, j) in members:
+            vec = [0] * (d + 1)
+            vec[j] = 1
+            rows.append(vec)
+        if Subspace.span(p, d + 1, rows).dim != sl.dim + len(members):
+            return True, False
+    return True, True
+
+
+class BudgetExceededError(RuntimeError):
+    pass
+
+
+def brute_force_is_gen_inv(s: Sequence, f: Poly2, budget: int = 10**6) -> bool:
+    """Literal enumeration oracle for generalized invariance: every chain of
+    deg(f) operators of the reflections s kills f."""
+    if f.is_zero() or not f.is_homogeneous() or f.degree() < 1:
+        raise ValueError("need a nonzero homogeneous polynomial of positive degree")
+    k = f.degree()
+    if len(s) ** k > budget:
+        raise BudgetExceededError(f"{len(s)}^{k} chains exceed the budget {budget}")
+    return all(chain(seq, f).is_zero() for seq in itertools.product(s, repeat=k))

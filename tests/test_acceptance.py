@@ -12,7 +12,7 @@ import time
 from pathlib import Path
 
 from modinv import poly2
-from modinv.demazure import brute_force_is_gen_inv, generalized_ideal, verify_operadorsD
+from modinv.demazure import generalized_ideal, verify_operadorsD
 from modinv.fp_arith import binomial_sum_check, divisors, primitive_root
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
@@ -37,7 +37,7 @@ from modinv.grp2 import (
 from modinv.poly2 import Poly2, slice_vector, verify_formules
 from modinv.stable_chain import compute_J1, stable_chain, verify_basedos
 from modinv.verify import run_verification
-from oracles import contains_all
+from oracles import brute_force_is_gen_inv, contains_all
 
 
 def _announce(number, name, started):

@@ -6,13 +6,13 @@ import random
 import pytest
 
 from modinv import demazure, fp_linalg, graded_ideal
-from modinv.demazure import brute_force_is_gen_inv, generalized_ideal
+from modinv.demazure import generalized_ideal
 from modinv.fp_arith import divisors
 from modinv.graded_ideal import ideal_equal
 from modinv.grp2 import all_reflections, catalog_generators, catalog_group, classify, generate_closure
 from modinv.poly2 import Poly2, slice_vector
 from modinv.stable_chain import compute_J1, stable_chain
-from oracles import contains_all, dense_shift, dense_sum, full_reduce_preimage
+from oracles import brute_force_is_gen_inv, contains_all, dense_shift, dense_sum, full_reduce_preimage
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

@@ -7,8 +7,6 @@ import pytest
 
 from modinv import poly2
 from modinv.demazure import (
-    BudgetExceededError,
-    brute_force_is_gen_inv,
     chain,
     delta,
     delta_slice_rows,
@@ -30,7 +28,13 @@ from modinv.grp2 import (
 )
 from modinv.poly2 import Poly2, parse_poly
 from modinv.stable_chain import compute_J1, stable_chain
-from oracles import contains_all, full_preimage_levels, substitution_delta_rows
+from oracles import (
+    BudgetExceededError,
+    brute_force_is_gen_inv,
+    contains_all,
+    full_preimage_levels,
+    substitution_delta_rows,
+)
 
 
 def _omega_ops(p):

@@ -6,7 +6,7 @@ import random
 import pytest
 
 from modinv.fp_linalg import Subspace, kernel, preimage
-from oracles import dense_shift, dense_sum, full_reduce_preimage, rref_kernel
+from oracles import dense_reduce_row, dense_shift, dense_sum, full_reduce_preimage, rref_kernel
 
 BIG_PRIMES = [2**31 - 1, 4294967311]  # (p - 1)**2 takes 62 and 65 bits: packed slots past 64 bits
 
@@ -213,3 +213,36 @@ def test_preimage_matches_full_reduction_oracle(p):
 @pytest.mark.parametrize("p", BIG_PRIMES)
 def test_preimage_matches_full_reduction_oracle_at_large_primes(p):
     _check_preimage(random.Random(p % 997), p, 8)
+
+
+def _reduce_vectors(rng, p, sub):
+    """The zero vector, unreduced and negative vectors, members of sub
+    (combinations of its rows plus multiples of p) and their negatives."""
+    n = sub.ncols
+    out = [[0] * n, [rng.randrange(-3 * p, 3 * p) for _ in range(n)]]
+    out += _random_rows(rng, p, n, 2)
+    for _ in range(2):
+        member = [0] * n
+        for row in sub.rows:
+            f = rng.randrange(p)
+            member = [a + f * b for a, b in zip(member, row)]
+        member = [a + p * rng.randrange(-2, 3) for a in member]
+        out += [member, [-a for a in member]]
+    return out
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 65537] + BIG_PRIMES)
+def test_reduce_contains_and_free_parts_match_dense_oracle(p):
+    rng = random.Random(p % 1013)
+    for _ in range(25):
+        n = rng.randrange(1, 9)
+        for sub in _subspace_family(rng, p, n):
+            vectors = _reduce_vectors(rng, p, sub)
+            free = sub.complement()
+            want = [dense_reduce_row(v, sub.rows, sub.pivots, p) for v in vectors]
+            assert sub._free_parts(vectors) == [[w[f] for f in free] for w in want]
+            for v, w in zip(vectors, want):
+                assert sub.reduce(v) == w
+                assert sub.contains(v) == (not any(w))
+            # the members (entries 4 to 7) reduce to zero
+            assert all(sub.contains(v) for v in vectors[4:])

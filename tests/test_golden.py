@@ -28,6 +28,8 @@ CASES = [
     ("gen_p7_diagonal.json", ["gen", "--prime", "7", "--reflections", "6,0;0,1 1,0;0,6"]),
     ("invariants_p7_L1_d60.json", ["invariants", "--prime", "7", "--group", "L:1", "--max-degree", "60"]),
     ("stable_p7_U1_3.json", ["stable", "--prime", "7", "--group", "U:1,3"]),
+    ("verify_p11_calculinvest.json", ["verify", "--prime", "11", "--theorem", "calculinvest", "--format", "json"]),
+    ("verify_p11_basedos.json", ["verify", "--prime", "11", "--theorem", "basedos", "--format", "json"]),
 ]
 
 

@@ -9,6 +9,7 @@ from modinv.fp_arith import divisors
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
     GradedIdeal,
+    MonomialFamily,
     basis_check,
     complete_intersection_dims,
     default_degree_cap,
@@ -22,7 +23,7 @@ from modinv.graded_ideal import (
 from modinv.grp2 import Mat2, catalog_group, omega_prime
 from modinv.poly2 import Poly2, parse_poly, slice_vector
 from modinv.stable_chain import compute_J1, stable_chain
-from oracles import generator_ideal_equal, iterated_invariant_slice
+from oracles import generator_ideal_equal, iterated_invariant_slice, span_basis_verdicts
 
 
 def ideal(p, *texts):
@@ -265,6 +266,62 @@ def test_basis_check_detects_wrong_family():
     p = 3
     rep = basis_check(gamma_family(p, 1, 1), ideal(p, "x", "y^2"))
     assert rep.status == "fail"
+
+
+def _verdicts(family, target):
+    checks = {c.name: c.status == "pass" for c in basis_check(family, target).checks}
+    return checks["per_degree_counts_match"], checks["images_independent_mod_ideal"]
+
+
+def _made_dependent(family, target):
+    """The family with one member swapped for a copy of another of the same
+    degree, and with one swapped for a monomial of the same degree that
+    lies in the target ideal, each where the family allows it."""
+    out = []
+    mono = list(family.monomials)
+    by_deg = family.by_degree()
+    dup = next((ms for _, ms in sorted(by_deg.items()) if len(ms) > 1), None)
+    if dup:
+        out.append([dup[0] if m == dup[1] else m for m in mono])
+    for d, ms in sorted(by_deg.items()):
+        units = [[int(k == j) for k in range(d + 1)] for j in range(d + 1)]
+        inside = [(d - j, j) for j in range(d + 1) if target.slice(d).contains(units[j])]
+        if inside:
+            out.append([inside[0] if m == ms[0] else m for m in mono])
+            break
+    return [_family_like(family, m) for m in out]
+
+
+def _family_like(family, monomials):
+    return MonomialFamily(family.name, family.p, tuple(monomials), family.expected_total)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_basis_check_matches_span_oracle(p):
+    cases = []
+    for r in divisors(p - 1):
+        cases.append((omega_family(p, r), compute_J1(catalog_group("L", p, r))))
+        for s in divisors(p - 1):
+            cases.append((gamma_family(p, r, s), compute_J1(catalog_group("U", p, r, s))))
+    if p > 2:
+        reduced = [poly2.d1(p), poly2.delta(p), poly2.gamma(p, 2), Poly2.monomial(p, 1, p - 1, 2 * p - 2)]
+        cases.append((theta_family(p), GradedIdeal(p, reduced)))
+    for family, target in cases:
+        assert _verdicts(family, target) == span_basis_verdicts(family, target) == (True, True)
+        dependent = _made_dependent(family, target)
+        assert dependent
+        for bad in dependent:
+            assert _verdicts(bad, target) == span_basis_verdicts(bad, target) == (True, False)
+    # x for y at degree 1 in U(1, 1): x lies in J_1
+    j1 = compute_J1(catalog_group("U", p, 1, 1))
+    fam = gamma_family(p, 1, 1)
+    swapped = _family_like(fam, [(1, 0) if m == (0, 1) else m for m in fam.monomials])
+    assert _verdicts(swapped, j1) == span_basis_verdicts(swapped, j1) == (True, False)
+    # members at pivot columns: x and x^2 are independent modulo (x + y, y^3)
+    # only through their reductions, -y and y^2
+    powers = MonomialFamily("x powers", p, ((0, 0), (1, 0), (2, 0)), 3)
+    shear = ideal(p, "x + y", "y^3")
+    assert _verdicts(powers, shear) == span_basis_verdicts(powers, shear) == (True, True)
 
 
 def test_theta_family_size():

@@ -47,8 +47,9 @@ def test_rref_does_not_mutate_input():
 
 def test_reduce_row_membership():
     basis, pivots = _kernels.rref([[1, 0, 2], [0, 1, 0]], 5)
-    assert _kernels.reduce_row([1, 1, 2], basis, pivots, 5) == [0, 0, 0]
-    assert any(_kernels.reduce_row([0, 0, 1], basis, pivots, 5))
+    member, outside = _kernels.reduce_row([[1, 1, 2], [0, 0, 1]], basis, pivots, [2], 5)
+    assert member == [0]
+    assert any(outside)
 
 
 def test_convolve_known():
@@ -59,7 +60,8 @@ def test_convolve_known():
 def test_kernels_are_exact_above_64_bit_products():
     p = 4294967311  # the least prime above 2**32
     assert _kernels.rref([[p - 1, 2], [3, p - 2]], p) == ([[1, 0], [0, 1]], [0, 1])
-    assert _kernels.reduce_row([p - 1, 1], [[1, p - 1]], [0], p) == [0, 0]
+    # (p - 1)**2 = 1 mod p: [p - 1, 1] is (p - 1) times the basis row
+    assert _kernels.reduce_row([[p - 1, 1], [p - 1, 2]], [[1, p - 1]], [0], [1], p) == [[0], [1]]
     # (2t - 1)(-3t - 1) = -6t^2 + t + 1
     assert _kernels.convolve([p - 1, 2], [p - 1, p - 3], p) == [1, 1, p - 6]
 
