@@ -6,7 +6,7 @@ verifies the whole statement catalog mechanically at small primes.
 """
 
 from modinv._kernels import backend
-from modinv.fp_arith import FpScalar, binomial_sum_check, inv, lucas_binom, primitive_root
+from modinv.fp_arith import binomial_sum_check, lucas_binom, primitive_root
 from modinv.fp_linalg import Subspace, kernel
 from modinv.grp2 import (
     GroupClass,
@@ -29,8 +29,6 @@ from modinv.poly2 import (
     div_exact_linear,
     format_poly,
     gamma,
-    make_named,
-    parse_poly,
     rho,
     verify_formules,
 )

@@ -200,7 +200,7 @@ def verify_operadorsD(p: int):
                 lhs = _iterate(dop, power(p, "x", i + j), i)
                 rhs = Poly2.zero(p)
                 for k in range(j + 1):
-                    coeff = lucas_binom(i + j, i + k - 1, p).value if i + k - 1 >= 0 else 0
+                    coeff = lucas_binom(i + j, i + k - 1, p) if i + k - 1 >= 0 else 0
                     if coeff:
                         part = _iterate(dop, power(p, "x", i + k - 1), i - 1)
                         rhs = rhs + (part * power(p, "y", j - k)).scale(coeff)

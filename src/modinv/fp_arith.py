@@ -1,6 +1,6 @@
 """Exact arithmetic in the prime field F_p.
 
-Scalars, modular inverses, binomial coefficients via base-p digit products,
+Modular inverses, binomial coefficients via base-p digit products,
 and the alternating binomial sum identity used by the coinvariant
 computations. Also home of the primitive root search that fixes the
 generator of F_p* used by the group catalog.
@@ -27,106 +27,11 @@ def check_prime(p: int) -> int:
     return p
 
 
-class FpScalar:
-    """A residue mod p with exact field arithmetic.
-
-    Immutable; mixing scalars with different moduli raises ValueError.
-    """
-
-    __slots__ = ("value", "p")
-
-    def __init__(self, value: int, p: int):
-        check_prime(p)
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "value", value % p)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FpScalar is immutable")
-
-    def _coerce(self, other) -> "FpScalar":
-        if isinstance(other, FpScalar):
-            if other.p != self.p:
-                raise ValueError(f"modulus mismatch: {self.p} vs {other.p}")
-            return other
-        if isinstance(other, int):
-            return FpScalar(other, self.p)
-        return NotImplemented
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value + o.value, self.p)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value - o.value, self.p)
-
-    def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpScalar(o.value - self.value, self.p)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return FpScalar(self.value * o.value, self.p)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FpScalar(-self.value, self.p)
-
-    def __pow__(self, k: int):
-        if k < 0:
-            return self.inv() ** (-k)
-        return FpScalar(pow(self.value, k, self.p), self.p)
-
-    def inv(self) -> "FpScalar":
-        return inv(self)
-
-    def __bool__(self):
-        return self.value != 0
-
-    def __eq__(self, other):
-        if isinstance(other, FpScalar):
-            return self.value == other.value and self.p == other.p
-        if isinstance(other, int):
-            return self.value == other % self.p
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.value, self.p))
-
-    def __repr__(self):
-        return f"FpScalar({self.value}, {self.p})"
-
-
-def inv(a: FpScalar) -> FpScalar:
-    """Multiplicative inverse by extended Euclid; a must be nonzero."""
-    if a.value == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {a.p}")
-    return FpScalar(inv_mod(a.value, a.p), a.p)
-
-
 def inv_mod(a: int, p: int) -> int:
-    """Inverse of a nonzero residue as a plain int (extended Euclid)."""
-    a %= p
-    if a == 0:
+    """Inverse of a nonzero residue; ZeroDivisionError when a = 0 mod p."""
+    if a % p == 0:
         raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    t, new_t = 0, 1
-    r, new_r = p, a
-    while new_r:
-        q = r // new_r
-        t, new_t = new_t, t - q * new_t
-        r, new_r = new_r, r - q * new_r
-    return t % p
+    return pow(a, -1, p)
 
 
 def _small_binom(a: int, b: int, p: int) -> int:
@@ -141,7 +46,7 @@ def _small_binom(a: int, b: int, p: int) -> int:
     return num * inv_mod(den, p) % p if den else 0
 
 
-def lucas_binom(a: int, b: int, p: int) -> FpScalar:
+def lucas_binom(a: int, b: int, p: int) -> int:
     """C(a, b) mod p as the product of base-p digit binomials.
 
     Zero when b > a; never overflows beyond p**2.
@@ -153,13 +58,13 @@ def lucas_binom(a: int, b: int, p: int) -> FpScalar:
     while a or b:
         out = out * _small_binom(a % p, b % p, p) % p
         if out == 0:
-            return FpScalar(0, p)
+            return 0
         a //= p
         b //= p
-    return FpScalar(out, p)
+    return out
 
 
-def binomial_sum_check(p: int, i: int, k: int) -> FpScalar:
+def binomial_sum_check(p: int, i: int, k: int) -> int:
     """sum_{t=0}^{k-1} C(k(p-1), i + t(p-1)) mod p.
 
     Defined for 0 <= i < p and 1 <= k < p; the identity asserts the value
@@ -173,8 +78,8 @@ def binomial_sum_check(p: int, i: int, k: int) -> FpScalar:
     total = 0
     n = k * (p - 1)
     for t in range(k):
-        total += lucas_binom(n, i + t * (p - 1), p).value
-    return FpScalar(total, p)
+        total += lucas_binom(n, i + t * (p - 1), p)
+    return total % p
 
 
 def primitive_root(p: int) -> int:

@@ -98,26 +98,6 @@ class Mat2:
         di = inv_mod(self.det(), p)
         return Mat2._trusted(p, self.d * di % p, -self.b * di % p, -self.c * di % p, self.a * di % p)
 
-    def __pow__(self, k: int) -> "Mat2":
-        if k < 0:
-            return self.inv() ** (-k)
-        out = Mat2.identity(self.p)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
-
-    def order(self) -> int:
-        n, m = 1, self
-        ident = Mat2.identity(self.p)
-        while m != ident:
-            m = m * self
-            n += 1
-        return n
-
     def is_diagonal(self) -> bool:
         return self.b == 0 and self.c == 0
 
@@ -282,16 +262,7 @@ class MatrixGroup:
 
     __slots__ = ("p", "codes", "generators")
 
-    def __init__(self, p: int, elements: frozenset[Mat2], generators: tuple[Mat2, ...]):
-        self._store(p, frozenset(_code(m) for m in elements), tuple(generators))
-
-    @classmethod
-    def _from_codes(cls, p: int, codes: frozenset[int], generators: tuple[Mat2, ...]) -> "MatrixGroup":
-        group = object.__new__(cls)
-        group._store(p, codes, generators)
-        return group
-
-    def _store(self, p: int, codes: frozenset[int], generators: tuple[Mat2, ...]) -> None:
+    def __init__(self, p: int, codes: frozenset[int], generators: tuple[Mat2, ...]):
         if gl2_order(p) % len(codes) != 0:
             raise ValueError("element count does not divide |GL_2(F_p)|")
         _setattr(self, "p", p)
@@ -322,7 +293,7 @@ class MatrixGroup:
         gi = g.inv()
         codes = frozenset(_conjugate_codes(self.p, self.codes, gi, g))
         gens = tuple(gi * m * g for m in self.generators)
-        return MatrixGroup._from_codes(self.p, codes, gens)
+        return MatrixGroup(self.p, codes, gens)
 
     def __eq__(self, other):
         if not isinstance(other, MatrixGroup):
@@ -343,7 +314,7 @@ def generate_closure(gens: Sequence[Mat2], cap: Optional[int] = None) -> MatrixG
     cap guards misconfigured callers.
     """
     if not gens:
-        raise ValueError("need at least one generator (or use trivial_group)")
+        raise ValueError("need at least one generator (the identity gives the trivial group)")
     p = gens[0].p
     for g in gens:
         if g.p != p:
@@ -353,11 +324,7 @@ def generate_closure(gens: Sequence[Mat2], cap: Optional[int] = None) -> MatrixG
     ident = _identity_code(p)
     seen = {ident}
     _grow(p, seen, [ident], [_RowMap(p, g.entries) for g in gens], cap)
-    return MatrixGroup._from_codes(p, frozenset(seen), tuple(gens))
-
-
-def trivial_group(p: int) -> MatrixGroup:
-    return MatrixGroup(p, frozenset({Mat2.identity(p)}), ())
+    return MatrixGroup(p, frozenset(seen), tuple(gens))
 
 
 # -- catalog ------------------------------------------------------------------

@@ -24,7 +24,6 @@ of coefficients of (x^d, x^{d-1} y, ..., y^d); index = exponent of y.
 
 from __future__ import annotations
 
-import re
 import threading
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
@@ -98,9 +97,6 @@ class Poly2:
         for (i, j), c in self.terms.items():
             buckets.setdefault(i + j, {})[(i, j)] = c
         return {d: Poly2(self.p, t) for d, t in sorted(buckets.items())}
-
-    def coeff(self, i: int, j: int) -> int:
-        return self.terms.get((i, j), 0)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -176,14 +172,6 @@ class Poly2:
 
     def __str__(self):
         return format_poly(self)
-
-    # -- leading term in graded lex with x > y ------------------------------
-
-    def leading_term(self) -> tuple[tuple[int, int], int]:
-        if not self.terms:
-            raise ValueError("zero polynomial has no leading term")
-        key = max(self.terms, key=lambda ij: (ij[0] + ij[1], ij[0]))
-        return key, self.terms[key]
 
 
 class LinearForm:
@@ -402,31 +390,6 @@ def div_exact_linear(f: Poly2, form: LinearForm) -> Poly2:
     return Poly2(p, quot)
 
 
-def div_exact(f: Poly2, g: Poly2) -> Poly2:
-    """Exact quotient f / g by leading-term elimination (graded lex, x > y).
-
-    Internal helper for building the named polynomials; raises
-    NotDivisibleError if g does not divide f exactly.
-    """
-    f._check(g)
-    if g.is_zero():
-        raise ZeroDivisionError("division by the zero polynomial")
-    p = f.p
-    (gi, gj), gc = g.leading_term()
-    gc_inv = inv_mod(gc, p)
-    quot: dict[tuple[int, int], int] = {}
-    rem = f
-    while not rem.is_zero():
-        (fi, fj), fc = rem.leading_term()
-        if fi < gi or fj < gj:
-            raise NotDivisibleError("exact division has nonzero remainder", rem)
-        c = fc * gc_inv % p
-        key = (fi - gi, fj - gj)
-        quot[key] = (quot.get(key, 0) + c) % p
-        rem = rem - Poly2.monomial(p, c, *key) * g
-    return Poly2(p, quot)
-
-
 # -- named polynomials -------------------------------------------------------
 
 
@@ -439,14 +402,22 @@ def y_var(p: int) -> Poly2:
 
 
 def delta(p: int) -> Poly2:
-    """x y^p - x^p y, the product of all monic linear forms."""
+    """x y^p - x^p y, minus the product of the normalized linear forms."""
     return Poly2(p, {(1, p): 1, (p, 1): -1})
+
+
+def _div_delta(f: Poly2) -> Poly2:
+    """Exact quotient f / delta, one linear factor at a time:
+    delta = -y * prod_{b in F_p} (x + b y)."""
+    p = f.p
+    for form in [LinearForm(p, 0, 1)] + [LinearForm(p, 1, b) for b in range(p)]:
+        f = div_exact_linear(f, form)
+    return -f
 
 
 def d1(p: int) -> Poly2:
     """The degree p^2 - p Dickson generator, (x y^{p^2} - x^{p^2} y) / delta."""
-    num = Poly2(p, {(1, p * p): 1, (p * p, 1): -1})
-    quot = div_exact(num, delta(p))
+    quot = _div_delta(Poly2(p, {(1, p * p): 1, (p * p, 1): -1}))
     expected = Poly2(p, {((p - 1) * i, (p - 1) * (p - i)): 1 for i in range(p + 1)})
     if quot != expected:
         raise AssertionError("d1 construction mismatch between division and sum form")
@@ -455,8 +426,7 @@ def d1(p: int) -> Poly2:
 
 def d0(p: int) -> Poly2:
     """The degree p^2 - 1 Dickson generator, (x^p y^{p^2} - x^{p^2} y^p) / delta."""
-    num = Poly2(p, {(p, p * p): 1, (p * p, p): -1})
-    return div_exact(num, delta(p))
+    return _div_delta(Poly2(p, {(p, p * p): 1, (p * p, p): -1}))
 
 
 def gamma(p: int, i: int) -> Poly2:
@@ -489,84 +459,7 @@ def power(p: int, var: str, k: int) -> Poly2:
     raise ValueError(f"unknown variable {var!r}")
 
 
-_NAMED_RE = re.compile(r"^\s*(delta|d0|d1|gamma|rho|power)\s*(?:\(\s*([^)]*)\s*\))?\s*$")
-
-
-def make_named(name: str, p: int) -> Poly2:
-    """Build a named polynomial from its textual spec.
-
-    Accepted: "delta", "d0", "d1", "gamma(i)", "rho(s)", "power(x,k)".
-    """
-    m = _NAMED_RE.match(name)
-    if not m:
-        raise ValueError(f"unknown named polynomial {name!r}")
-    kind, args = m.group(1), m.group(2)
-    if kind == "delta":
-        return delta(p)
-    if kind == "d0":
-        return d0(p)
-    if kind == "d1":
-        return d1(p)
-    if kind == "gamma":
-        return gamma(p, int(args))
-    if kind == "rho":
-        return rho(p, int(args))
-    var, k = (s.strip() for s in args.split(","))
-    return power(p, var, int(k))
-
-
-# -- text grammar ------------------------------------------------------------
-
-_TERM_RE = re.compile(
-    r"^\s*(?:(?P<coeff>-?\d+)\s*\*?\s*)?"
-    r"(?:x(?:\s*\^\s*(?P<xe>\d+))?\s*\*?\s*)?"
-    r"(?:y(?:\s*\^\s*(?P<ye>\d+))?)?\s*$"
-)
-
-
-def parse_poly(text: str, p: int) -> Poly2:
-    """Parse the polynomial grammar: terms joined by + or -, each term
-    ``[coeff*]x^i[*]y^j`` with omitted exponent meaning 1 and omitted
-    variable meaning exponent 0. E.g. ``x*y^3 + 2*x^3*y``."""
-    check_prime(p)
-    s = text.strip()
-    if not s:
-        raise ValueError("empty polynomial text")
-    if s == "0":
-        return Poly2.zero(p)
-    # split into signed chunks
-    chunks: list[tuple[int, str]] = []
-    sign = 1
-    buf = ""
-    for ch in s:
-        if ch in "+-":
-            if buf.strip():
-                chunks.append((sign, buf))
-            elif chunks:
-                raise ValueError(f"dangling operator in {text!r}")
-            sign = 1 if ch == "+" else -1
-            buf = ""
-        else:
-            buf += ch
-    if not buf.strip():
-        raise ValueError(f"dangling operator in {text!r}")
-    chunks.append((sign, buf))
-    terms: dict[tuple[int, int], int] = {}
-    for sgn, chunk in chunks:
-        m = _TERM_RE.match(chunk)
-        if not m or not chunk.strip():
-            raise ValueError(f"cannot parse term {chunk!r}")
-        has_x = "x" in chunk
-        has_y = "y" in chunk
-        coeff = int(m.group("coeff")) if m.group("coeff") is not None else None
-        if coeff is None and not (has_x or has_y):
-            raise ValueError(f"cannot parse term {chunk!r}")
-        c = 1 if coeff is None else coeff
-        i = (int(m.group("xe")) if m.group("xe") else 1) if has_x else 0
-        j = (int(m.group("ye")) if m.group("ye") else 1) if has_y else 0
-        key = (i, j)
-        terms[key] = (terms.get(key, 0) + sgn * c) % p
-    return Poly2(p, terms)
+# -- text output --------------------------------------------------------------
 
 
 def format_poly(f: Poly2) -> str:

@@ -36,10 +36,6 @@ class Check:
     def to_dict(self) -> dict:
         return {"name": self.name, "status": self.status, "expected": self.expected, "got": self.got}
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Check":
-        return cls(d["name"], d["status"], d["expected"], d["got"])
-
 
 @dataclass
 class VerificationReport:
@@ -81,20 +77,6 @@ class VerificationReport:
             "checks": [c.to_dict() for c in self.checks],
             "elapsed_ms": self.elapsed_ms,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            prime=d["prime"],
-            target=d["target"],
-            checks=[Check.from_dict(c) for c in d["checks"]],
-            elapsed_ms=d["elapsed_ms"],
-        )
-
-    def __eq__(self, other):
-        if not isinstance(other, VerificationReport):
-            return NotImplemented
-        return self.to_dict() == other.to_dict()
 
 
 @contextmanager

@@ -214,7 +214,7 @@ def _run_lemabinomial(p: int) -> VerificationReport:
         for i in range(p):
             for k in range(1, p):
                 count += 1
-                if binomial_sum_check(p, i, k).value != pow(-1, i, p):
+                if binomial_sum_check(p, i, k) != pow(-1, i, p):
                     ok = False
         rep.add(Check.boolean("alternating_sum_identity", ok, got=f"{count} (i, k) pairs"))
     return rep

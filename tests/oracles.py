@@ -1,9 +1,10 @@
 """Independent naive oracles for freezing expected values.
 
-Most of this is deliberately separate from the package internals: dense
-dict arithmetic over the integers reduced mod p at the end, substitution
-via explicit big-integer binomial expansion, and a literal long-division
-routine. Slow and obviously correct. The rest are the slow paths that
+The text reader ``parse_poly`` lets tests write polynomials in the grammar
+that ``format_poly`` prints. Most of this is deliberately separate from
+the package internals: dense dict arithmetic over the integers reduced
+mod p at the end, substitution via explicit big-integer binomial
+expansion, and a literal long-division routine. Slow and obviously correct. The rest are the slow paths that
 faster library code replaced (the conjugator search, the shear division,
 the action matrix from products of powers of the image forms, the
 iterated fixed-subspace kernel, the operator rows from that matrix, the
@@ -20,6 +21,7 @@ to compare with.
 from __future__ import annotations
 
 import itertools
+import re
 from functools import lru_cache
 from math import comb
 from typing import Optional, Sequence
@@ -122,6 +124,58 @@ def to_zdict(poly):
 def same_poly(zd, poly, p):
     """Compare an oracle dict against a package polynomial mod p."""
     return zreduce(zd, p) == dict(poly.terms)
+
+
+_TERM_RE = re.compile(
+    r"^\s*(?:(?P<coeff>-?\d+)\s*\*?\s*)?"
+    r"(?:x(?:\s*\^\s*(?P<xe>\d+))?\s*\*?\s*)?"
+    r"(?:y(?:\s*\^\s*(?P<ye>\d+))?)?\s*$"
+)
+
+
+def parse_poly(text: str, p: int) -> Poly2:
+    """Parse the polynomial grammar: terms joined by + or -, each term
+    ``[coeff*]x^i[*]y^j`` with omitted exponent meaning 1 and omitted
+    variable meaning exponent 0. E.g. ``x*y^3 + 2*x^3*y``."""
+    check_prime(p)
+    s = text.strip()
+    if not s:
+        raise ValueError("empty polynomial text")
+    if s == "0":
+        return Poly2.zero(p)
+    # split into signed chunks
+    chunks: list[tuple[int, str]] = []
+    sign = 1
+    buf = ""
+    for ch in s:
+        if ch in "+-":
+            if buf.strip():
+                chunks.append((sign, buf))
+            elif chunks:
+                raise ValueError(f"dangling operator in {text!r}")
+            sign = 1 if ch == "+" else -1
+            buf = ""
+        else:
+            buf += ch
+    if not buf.strip():
+        raise ValueError(f"dangling operator in {text!r}")
+    chunks.append((sign, buf))
+    terms: dict[tuple[int, int], int] = {}
+    for sgn, chunk in chunks:
+        m = _TERM_RE.match(chunk)
+        if not m or not chunk.strip():
+            raise ValueError(f"cannot parse term {chunk!r}")
+        has_x = "x" in chunk
+        has_y = "y" in chunk
+        coeff = int(m.group("coeff")) if m.group("coeff") is not None else None
+        if coeff is None and not (has_x or has_y):
+            raise ValueError(f"cannot parse term {chunk!r}")
+        c = 1 if coeff is None else coeff
+        i = (int(m.group("xe")) if m.group("xe") else 1) if has_x else 0
+        j = (int(m.group("ye")) if m.group("ye") else 1) if has_y else 0
+        key = (i, j)
+        terms[key] = (terms.get(key, 0) + sgn * c) % p
+    return Poly2(p, terms)
 
 
 def _mat_mul(x, y, p):

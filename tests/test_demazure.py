@@ -26,13 +26,14 @@ from modinv.grp2 import (
     omega,
     omega_prime,
 )
-from modinv.poly2 import Poly2, parse_poly
+from modinv.poly2 import Poly2
 from modinv.stable_chain import compute_J1, stable_chain
 from oracles import (
     BudgetExceededError,
     brute_force_is_gen_inv,
     contains_all,
     full_preimage_levels,
+    parse_poly,
     substitution_delta_rows,
 )
 

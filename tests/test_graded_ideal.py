@@ -21,9 +21,9 @@ from modinv.graded_ideal import (
     theta_family,
 )
 from modinv.grp2 import Mat2, catalog_group, omega_prime
-from modinv.poly2 import Poly2, parse_poly, slice_vector
+from modinv.poly2 import Poly2, slice_vector
 from modinv.stable_chain import compute_J1, stable_chain
-from oracles import generator_ideal_equal, iterated_invariant_slice, span_basis_verdicts
+from oracles import generator_ideal_equal, iterated_invariant_slice, parse_poly, span_basis_verdicts
 
 
 def ideal(p, *texts):

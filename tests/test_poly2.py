@@ -32,12 +32,11 @@ from modinv.poly2 import (
     div_exact_linear,
     divide_slice_by_form,
     format_poly,
-    make_named,
-    parse_poly,
     poly_from_slice,
     slice_vector,
 )
 from oracles import (
+    parse_poly,
     power_product_act_matrix,
     recurrence_act_matrix,
     same_poly,
@@ -72,7 +71,7 @@ def random_homogeneous(rng, p, d):
 
 
 def test_delta_value():
-    assert make_named("delta", 3) == parse_poly("x*y^3 + 2*x^3*y", 3)
+    assert poly2.delta(3) == parse_poly("x*y^3 + 2*x^3*y", 3)
 
 
 def test_d1_by_long_division_oracle():
@@ -80,7 +79,7 @@ def test_d1_by_long_division_oracle():
     q, r = zdivide({(1, 4): 1, (4, 1): -1}, {(1, 2): 1, (2, 1): -1}, 2)
     assert r == {}
     assert q == {(2, 0): 1, (1, 1): 1, (0, 2): 1}
-    assert make_named("d1", 2) == parse_poly("x^2 + x*y + y^2", 2)
+    assert poly2.d1(2) == parse_poly("x^2 + x*y + y^2", 2)
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])
@@ -94,8 +93,17 @@ def test_d0_is_delta_power(p):
     assert poly2.d0(p) == poly2.delta(p) ** (p - 1)
 
 
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_dickson_generators_times_delta(p):
+    # d1 and d0 are built by dividing by the p + 1 linear factors of delta
+    dl = poly2.delta(p)
+    assert poly2.d1(p) * dl == Poly2(p, {(1, p * p): 1, (p * p, 1): -1})
+    assert poly2.d0(p) * dl == Poly2(p, {(p, p * p): 1, (p * p, p): -1})
+    assert poly2.d0(p) == dl ** (p - 1)
+
+
 def test_gamma_values():
-    assert make_named("gamma(2)", 3) == parse_poly("x^4 - x^2*y^2 + y^4", 3)
+    assert poly2.gamma(3, 2) == parse_poly("x^4 - x^2*y^2 + y^4", 3)
     assert poly2.gamma(5, 1) == poly2.power(5, "y", 4)
     with pytest.raises(ValueError):
         poly2.gamma(5, 0)
@@ -108,10 +116,13 @@ def test_rho_is_invariant_seed():
 
 
 def test_make_named_forms():
-    assert make_named("power(x,4)", 5) == Poly2.monomial(5, 1, 4, 0)
-    assert make_named("rho(2)", 3) == poly2.rho(3, 2)
+    assert poly2.power(5, "x", 4) == Poly2.monomial(5, 1, 4, 0)
+    assert poly2.power(5, "y", 4) == Poly2.monomial(5, 1, 0, 4)
+    assert poly2.rho(3, 2) == parse_poly("y^6 - 2*x^2*y^4 + x^4*y^2", 3)
     with pytest.raises(ValueError):
-        make_named("nonsense", 5)
+        poly2.power(5, "z", 4)
+    with pytest.raises(ValueError):
+        poly2.rho(3, 0)
 
 
 # -- the action ----------------------------------------------------------------

