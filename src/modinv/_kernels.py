@@ -1,12 +1,18 @@
-"""Dense row operations over F_p on lists of ints.
+"""Row operations over F_p: echelon forms, packed reduction, convolution.
 
 These three functions are the hot loops of the engine: every echelon form,
-reduction modulo a basis, ideal slice and polynomial action matrix bottoms
-out here. Vectors are plain lists of ints in [0, p), and the arithmetic is
-exact for every prime.
-The tall stacks of ``fp_linalg.kernel`` do not come here row by row: that
-function packs each row into one integer and eliminates on the packed rows,
-and hands only its echelon rows to ``rref``.
+reduction modulo a subspace, ideal slice and polynomial action matrix
+bottoms out here. ``rref`` and ``convolve`` work on plain lists of ints in
+[0, p). ``reduce_row`` works on a subspace in the codimension form of
+``fp_linalg.Subspace``: each echelon row stored as one int, its entries on
+the free (non-pivot) columns packed into w-bit slots (Kronecker
+substitution), each slot reduced mod p. A reduction adds at most one
+multiple of each row, every multiplier and entry below p, so its slots
+stay below npivots * (p - 1)**2 and are read mod p once at the end
+(delayed reduction). The w of ``fp_linalg`` keeps p + ncols * (p - 1)**2
+below 2**w, which bounds that sum. The tall stacks of ``fp_linalg.kernel``
+are packed the same way there and hand only their echelon rows to
+``rref``.
 """
 
 
@@ -55,21 +61,28 @@ def rref(rows, p):
     return work[:r], pivots
 
 
-def reduce_row(vectors, basis, pivots, free, p):
-    """Reductions of ``vectors`` modulo the span of an RREF basis, on its
-    non-pivot columns ``free`` alone: the other rows are zero at the pivot
-    c, so v[c] is the coefficient of the row with pivot c. Entries of v may
-    be unreduced or negative; a result is zero iff v lies in the span.
+def reduce_row(vectors, blocks, pivots, free, w, p):
+    """Reductions of ``vectors`` modulo a subspace in codimension form, on
+    its free columns ``free``: ``blocks[i]`` packs the entries of the echelon
+    row with pivot ``pivots[i]`` on ``free``, w bits a slot. The other rows
+    are zero at the pivot c, so v[c] is the coefficient of the row with
+    pivot c, and the result is v[f] minus the slot of f in the sum of those
+    multiples. Entries of v may be unreduced or negative; a result is zero
+    iff v lies in the subspace.
     """
-    blocks = [[r[f] for f in free] for r in basis]
+    mask = (1 << w) - 1
+    shifts = range(0, len(free) * w, w)
     out = []
     for v in vectors:
-        acc = [v[f] for f in free]
+        acc = 0
         for c, b in zip(pivots, blocks):
             x = v[c]
             if x:
-                acc = [a - x * y for a, y in zip(acc, b)]
-        out.append([a % p for a in acc])
+                acc += x % p * b
+        if acc:
+            out.append([(v[f] - (acc >> s & mask)) % p for f, s in zip(free, shifts)])
+        else:
+            out.append([v[f] % p for f in free])
     return out
 
 

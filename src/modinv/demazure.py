@@ -20,8 +20,13 @@ degree d-1 piece. P_1 times the degree d-1 piece (``Subspace.shift``)
 lies in the degree-d piece, so only the canonical representatives modulo
 that product are searched, with one ``fp_linalg.preimage``, and the level
 is the shift plus what that finds (the incremental ``Subspace.sum``). The
-tests check the result against the literal chain enumeration and against
-the same program run over every coordinate.
+levels are stored in the codimension form of ``fp_linalg``, and
+``preimage`` reduces the operator images against level(d-1)'s packed
+rows. Since level(d-1) contains P_1 * level(d-2), its shift is
+x * level(d-1) plus y times its rows with pivots not pivots of
+level(d-2), and only those rows are reduced. The tests check the result
+against the literal chain enumeration and against the same program run
+over every coordinate.
 """
 
 from __future__ import annotations

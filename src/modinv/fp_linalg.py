@@ -1,19 +1,48 @@
-"""Dense exact linear algebra over F_p on degree-slice vectors.
+"""Exact linear algebra over F_p on degree-slice vectors, in codimension form.
 
-Everything is canonical: a subspace is stored as its reduced row echelon
-basis, so equality of subspaces is equality of matrices. A reduced row is
-its pivot plus its entries on the free (non-pivot) columns, and the
-reduction of any vector modulo the subspace is read off those columns
-alone: v[f] - sum over the pivots c with v[c] != 0 of v[c] * row_c[f]. That
-reduction is ``_kernels.reduce_row``, on a batch of vectors at once. Sums
-(``Subspace.sum``, ``Subspace.shift``), preimages and membership work on
-that small block of free columns; only spans call ``_kernels.rref`` on
-whole rows.
+A subspace V of F_p^n is stored canonically by its reduced row echelon
+basis, in codimension form: its pivots, its c free (non-pivot) columns and,
+for each echelon row, one int that packs the row's entries on the free
+columns into w-bit slots (Kronecker substitution), each slot reduced mod p.
+The row itself is 1 at its pivot, zero at the other pivots and those
+entries on the free columns. The (n - c) x c block of packed entries is the
+quotient map F_p^n -> F_p^n / V, and its transpose spans the inverse
+system of V (Macaulay, *The Algebraic Theory of Modular Systems*, 1916).
+Equal subspaces have equal pivots and blocks, so equality is that of the
+stored form; dense rows (``Subspace.rows``) are built only on request.
 
-``kernel`` serves the tall stacks of operator images in ``preimage``, whose
-kernel is often empty. It packs each row into one integer, w bits per
-column with w the bit length of p + ncols * (p - 1)**2, and eliminates
-on the packed rows (Kronecker substitution), reading a slot mod p only
+Slot width. w is the bit length of p + n * (p - 1)**2, a function of p and
+n alone, so every subspace of F_p^n packs at the same width and one's
+blocks are read at another's. A reduction (``_kernels.reduce_row``) adds at
+most one multiple of each of the at most n rows, and clearing k new pivots
+from a row adds k multiples to an entry below p; with multipliers and
+entries below p either stays below p + n * (p - 1)**2 < 2**w. ``shift``
+reuses blocks one column up and repacks them only where n + 1 has a larger
+w than n.
+
+The shift. Let S be a degree-d slice (n = d + 1) with S containing
+P_1 * R for a slice R of degree d - 1, as every ideal slice and every
+generalized level does. Then P_1 * S = x * S + y * C, where C is the rows
+of S whose pivots are not pivots of R:
+- x * R lies in S and has R's pivots, so C spans a complement of x * R
+  in S;
+- y * x * R = x * (y * R) lies in x * S.
+x * S (v -> v + (0,)) keeps S's pivots and gains column n as its top free
+slot, zero in every block, so its blocks are S's ints unchanged. Only the
+|C| y-shifted rows (0,) + v are reduced. A subspace made by ``shift`` or
+``sum`` keeps a reference to R's pivot tuple (``base``); one made by
+``span`` has none and takes C = all rows.
+
+Sums (``Subspace.sum`` and the y * C step of ``shift``) reduce the added
+rows on the free columns with ``_kernels.reduce_row`` and echelonize those
+reductions. The k new pivots are then cleared, in packed form, from the
+old rows that are nonzero there, and their slots removed from every
+block. Preimages, membership and the basis checks reduce with the same
+``reduce_row``; only spans call ``_kernels.rref`` on whole rows.
+
+``kernel`` serves the tall stacks of operator images in ``preimage``,
+whose kernel is often empty. It packs each row into one integer at the
+same width and eliminates on the packed rows, reading a slot mod p only
 where an entry is needed (delayed reduction). Every basis row is stored
 reduced, so a row reduced against at most ncols - 1 of them keeps each
 slot below 2**w. The rows are added one at a time and the kernel is zero
@@ -23,24 +52,34 @@ rows go to ``_kernels.rref``.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Sequence
 
 from modinv import _kernels
 from modinv.fp_arith import check_prime
 
 
+def _width(p: int, ncols: int) -> int:
+    """Slot width of the packed rows of F_p^ncols: see the module docstring."""
+    return (p + ncols * (p - 1) ** 2).bit_length()
+
+
 class Subspace:
-    """A subspace of F_p^n given by its reduced row echelon basis."""
+    """A subspace of F_p^n in codimension form: the pivots, the free columns
+    and one packed int per reduced echelon row (see the module docstring)."""
 
-    __slots__ = ("p", "ncols", "rows", "pivots")
+    __slots__ = ("p", "ncols", "pivots", "free", "blocks", "w", "base")
 
-    def __init__(self, p: int, ncols: int, rows, pivots, _canonical=False):
+    def __init__(self, p: int, ncols: int, pivots, free, blocks, base=None, _canonical=False):
         if not _canonical:
             raise TypeError("use Subspace.span / zero")
         self.p = p
         self.ncols = ncols
-        self.rows = rows
         self.pivots = pivots
+        self.free = free
+        self.blocks = blocks
+        self.w = _width(p, ncols)
+        self.base = base  # pivots of the R with self containing P_1 * R, if known
 
     @classmethod
     def span(cls, p: int, ncols: int, rows: Iterable[Sequence[int]]) -> "Subspace":
@@ -52,37 +91,50 @@ class Subspace:
                 raise ValueError(f"row of length {len(r)} in ambient dimension {ncols}")
             mat.append([x % p for x in r])
         basis, pivots = _kernels.rref(mat, p)
-        return cls(p, ncols, tuple(tuple(r) for r in basis), tuple(pivots), _canonical=True)
+        free = _complement(ncols, pivots)
+        w = _width(p, ncols)
+        blocks = tuple(_pack([r[f] for f in free], w) for r in basis)
+        return cls(p, ncols, tuple(pivots), free, blocks, _canonical=True)
 
     @classmethod
     def zero(cls, p: int, ncols: int) -> "Subspace":
         check_prime(p)
-        return cls(p, ncols, (), (), _canonical=True)
+        return cls(p, ncols, (), tuple(range(ncols)), (), _canonical=True)
+
+    @property
+    def rows(self) -> tuple[tuple[int, ...], ...]:
+        """The reduced echelon basis as dense rows, built on each request."""
+        n, k, w = self.ncols, len(self.free), self.w
+        out = []
+        for c, b in zip(self.pivots, self.blocks):
+            row = [0] * n
+            row[c] = 1
+            for f, x in zip(self.free, _unpack(b, k, w)):
+                row[f] = x
+            out.append(tuple(row))
+        return tuple(out)
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.pivots)
 
     @property
     def is_zero(self) -> bool:
-        return not self.rows
+        return not self.pivots
 
     @property
     def is_full(self) -> bool:
-        return len(self.rows) == self.ncols
+        return not self.free
 
     def complement(self) -> list[int]:
         """Non-pivot column indices: the canonical coset representatives."""
-        pivot_set = set(self.pivots)
-        return [c for c in range(self.ncols) if c not in pivot_set]
+        return list(self.free)
 
     def reduce(self, v: Sequence[int]) -> list[int]:
         """Canonical representative of v modulo this subspace."""
         if len(v) != self.ncols:
             raise ValueError("vector length does not match ambient dimension")
-        free = self.complement()
-        part = _kernels.reduce_row([v], self.rows, self.pivots, free, self.p)[0]
-        return _embed(self.ncols, free, part)
+        return _embed(self.ncols, self.free, self._free_parts([v])[0])
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
@@ -90,43 +142,72 @@ class Subspace:
     def _free_parts(self, rows) -> list[list[int]]:
         # the reductions of the rows modulo self on the free columns only
         # (they vanish on the pivots)
-        return _kernels.reduce_row(rows, self.rows, self.pivots, self.complement(), self.p)
+        return _kernels.reduce_row(rows, self.blocks, self.pivots, self.free, self.w, self.p)
 
     def sum(self, other: "Subspace") -> "Subspace":
-        """The canonical span of both. Only other's reductions on the free
-        columns are echelonized; the new pivots are then cleared from the
-        old rows and the two bases merged by pivot."""
+        """The canonical span of both: other's rows are added to self (see
+        ``_extend``)."""
         self._check_compatible(other)
-        free = self.complement()
-        if not free or other.is_zero:
+        if not self.free or other.is_zero:
             return self
-        basis, cols = _kernels.rref(self._free_parts(other.rows), self.p)
-        if not basis:
-            return self
-        p, n = self.p, self.ncols
-        new = [_embed(n, free, b) for b in basis]
-        heads = [free[c] for c in cols]
-        merged = list(zip(heads, new))
-        for c, row in zip(self.pivots, self.rows):
-            for h, w in zip(heads, new):
-                x = row[h]
-                if x:
-                    row = [(a - x * y) % p for a, y in zip(row, w)]
-            merged.append((c, row))
-        merged.sort(key=lambda item: item[0])
-        return Subspace(
-            p, n, tuple(tuple(r) for _, r in merged), tuple(c for c, _ in merged), _canonical=True
-        )
+        return self._extend(other.rows)
 
     def shift(self) -> "Subspace":
-        """P_1 * self one degree up, for a slice of degree ncols - 1: the
-        x-multiples v + (0,) are reduced echelon with the same pivots, and
-        the y-multiples (0,) + v, echelon with the pivots one column right,
-        are summed into them."""
-        p, n, rows = self.p, self.ncols + 1, self.rows
-        xs = Subspace(p, n, tuple(v + (0,) for v in rows), self.pivots, _canonical=True)
-        ys = Subspace(p, n, tuple((0,) + v for v in rows), tuple(c + 1 for c in self.pivots), _canonical=True)
-        return xs.sum(ys)
+        """P_1 * self one degree up, for a slice of degree ncols - 1, as
+        x * self + y * C (see the module docstring)."""
+        p, n, k = self.p, self.ncols + 1, len(self.free)
+        w, blocks = _width(p, n), self.blocks
+        if w != self.w:
+            blocks = tuple(_pack(_unpack(b, k, self.w), w) for b in blocks)
+        xs = Subspace(p, n, self.pivots, self.free + (self.ncols,), blocks, self.pivots, _canonical=True)
+        below = set(self.base or ())
+        ys = []
+        for c, b in zip(self.pivots, self.blocks):
+            if c not in below:
+                v = [0] * n
+                v[c + 1] = 1
+                for f, x in zip(self.free, _unpack(b, k, self.w)):
+                    v[f + 1] = x
+                ys.append(v)
+        return xs._extend(ys) if ys else xs
+
+    def _extend(self, rows) -> "Subspace":
+        # self + span(rows): echelonize the rows' reductions on the free
+        # columns, clear their k pivots from the old rows and drop the k
+        # slots from every block
+        p, w, free = self.p, self.w, self.free
+        basis, cols = _kernels.rref(self._free_parts(rows), p)
+        if not basis:
+            return self
+        mask = (1 << w) - 1
+        taken = set(cols)
+        keep = [j for j in range(len(free)) if j not in taken]
+        keep_shifts = [j * w for j in keep]
+        col_shifts = [j * w for j in cols]
+        heads = sum(mask << s for s in col_shifts)
+        cuts = [((1 << s) - 1, s + w, s) for s in reversed(col_shifts)]
+        negs = [_pack([-x % p for x in row], w) for row in basis]
+        blocks = []
+        for b in self.blocks:
+            if b & heads:
+                for s, neg in zip(col_shifts, negs):
+                    x = b >> s & mask
+                    if x:
+                        b += x * neg
+                blocks.append(_pack([(b >> s & mask) % p for s in keep_shifts], w))
+            else:
+                for low, high, s in cuts:
+                    b = (b & low) | (b >> high << s)
+                blocks.append(b)
+        pivots = list(self.pivots)
+        for j, row in zip(cols, basis):
+            i = bisect_left(pivots, free[j])
+            pivots.insert(i, free[j])
+            blocks.insert(i, _pack([row[m] for m in keep], w))
+        return Subspace(
+            p, self.ncols, tuple(pivots), tuple(free[m] for m in keep), tuple(blocks), self.base,
+            _canonical=True,
+        )
 
     def _check_compatible(self, other: "Subspace"):
         if self.p != other.p:
@@ -137,13 +218,20 @@ class Subspace:
     def __eq__(self, other):
         if not isinstance(other, Subspace):
             return NotImplemented
-        return (self.p, self.ncols, self.rows) == (other.p, other.ncols, other.rows)
+        return (self.p, self.ncols, self.pivots, self.blocks) == (
+            other.p, other.ncols, other.pivots, other.blocks
+        )
 
     def __hash__(self):
-        return hash((self.p, self.ncols, self.rows))
+        return hash((self.p, self.ncols, self.pivots, self.blocks))
 
     def __repr__(self):
         return f"Subspace(p={self.p}, ncols={self.ncols}, dim={self.dim})"
+
+
+def _complement(n: int, pivots: Sequence[int]) -> tuple[int, ...]:
+    pivot_set = set(pivots)
+    return tuple(c for c in range(n) if c not in pivot_set)
 
 
 def _embed(n: int, cols: Sequence[int], values: Sequence[int]) -> list[int]:
@@ -162,6 +250,12 @@ def _pack(row: Sequence[int], w: int) -> int:
     return v
 
 
+def _unpack(v: int, k: int, w: int) -> list[int]:
+    """The k w-bit slots of v, lowest first."""
+    mask = (1 << w) - 1
+    return [v >> s & mask for s in range(0, k * w, w)]
+
+
 def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
     """Null space {x : M x = 0} of the matrix whose rows are given.
 
@@ -173,8 +267,7 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
     for r in rows:
         if len(r) != ncols:
             raise ValueError("matrix rows must all have length ncols")
-    # slot bound: see the module docstring
-    w = (p + ncols * (p - 1) ** 2).bit_length()
+    w = _width(p, ncols)
     mask = (1 << w) - 1
     shifts = range(0, ncols * w, w)
     heads: list[tuple[int, int]] = []  # (pivot slot shift, packed row), in insertion order
@@ -198,10 +291,8 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
         if len(echelon) == ncols:
             return Subspace.zero(p, ncols)
     basis, pivots = _kernels.rref(echelon, p)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
     vectors = []
-    for c in free:
+    for c in _complement(ncols, pivots):
         v = [0] * ncols
         v[c] = 1
         for row, pc in zip(basis, pivots):

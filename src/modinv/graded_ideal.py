@@ -9,11 +9,17 @@ degree bound). The degree-d slice is built exactly by the recursion
                + source(d),
 
 which equals the sum over e <= d of P_{d-e} times the degree-e input and
-is therefore exact at every degree. P_1 * slice(d-1) is
-``Subspace.shift``, which ``demazure.generalized_ideal`` also uses for its
-levels; the generators and the source slice are added to it by the
-incremental ``Subspace.sum``, which echelonizes only their reductions on
-the free columns.
+is therefore exact at every degree. Slices are ``fp_linalg.Subspace``s in
+codimension form: pivots, free columns and one packed int per echelon
+row. P_1 * slice(d-1) is ``Subspace.shift``, which
+``demazure.generalized_ideal`` also uses for its levels. slice(d-1)
+contains P_1 * slice(d-2), so the shift is x * slice(d-1) plus y times
+the rows of slice(d-1) whose pivots are not pivots of slice(d-2); only
+those rows are reduced (the proof is in ``fp_linalg``). The generators
+and the source slice are added by the incremental ``Subspace.sum``, which
+echelonizes only their reductions on the free columns.
+``with_extra_generators`` starts the larger ideal from the cached slices
+below its lowest new generator degree, where the two ideals agree.
 
 Minimal generators are read off degree by degree by one extraction,
 ``degree_generators(p, d, below, cur)``: the echelon lifts of cur modulo
@@ -108,8 +114,13 @@ class GradedIdeal:
         self._dims_cache: Optional[tuple[list[int], Optional[int]]] = None
 
     def with_extra_generators(self, extra: Sequence[Poly2]) -> "GradedIdeal":
-        """A new ideal adding generators, sharing this ideal's slice source."""
-        return GradedIdeal(self.p, list(self.generators) + list(extra), self.slice_source)
+        """A new ideal adding generators, sharing this ideal's slice source
+        and its cached slices below the lowest new generator degree, where
+        the two ideals agree."""
+        out = GradedIdeal(self.p, list(self.generators) + list(extra), self.slice_source)
+        low = min((g.degree() for g in out.generators[len(self.generators):]), default=None)
+        out._slices = self._slices[:low]
+        return out
 
     def slice(self, d: int) -> Subspace:
         """Canonical subspace of the degree-d piece of the ideal."""

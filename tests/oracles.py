@@ -13,6 +13,7 @@ slices behind formules items 5 and 6, ideal equality by
 generator membership, the shift and sum of subspaces by one dense RREF of
 all their rows, the kernel by one RREF of every row, the preimage through
 full reductions, the reduction of a whole row by whole-row subtraction,
+the reduction on the free columns with list rows instead of packed ones,
 the basis check by one span per degree, generalized invariance by
 enumerating every operator chain), kept as references
 to compare with.
@@ -343,6 +344,7 @@ def iterated_invariant_slice(
     else:
         basis = [[1 if k == c else 0 for k in range(n)] for c in range(n)]
     ordered = sorted(gens, key=lambda g: (not g.is_diagonal(), g.entries))
+    sl_rows = None if sl is None else sl.rows  # built on each request: read once
     for g in ordered:
         if not basis:
             break
@@ -350,7 +352,7 @@ def iterated_invariant_slice(
         for v in basis:
             w = _apply_action(g, v, d)
             if sl is not None:
-                w = dense_reduce_row(w, sl.rows, sl.pivots, p)
+                w = dense_reduce_row(w, sl_rows, sl.pivots, p)
             rows.append([(a - b) % p for a, b in zip(w, v)])
         coeffs = _left_kernel(rows, p)
         new_basis = []
@@ -406,9 +408,10 @@ def full_reduce_preimage(p: int, ncols: int, coords, maps, modulo: Subspace) -> 
     """``fp_linalg.preimage`` with every image reduced in full modulo
     ``modulo`` before its non-pivot coordinates are read."""
     free = modulo.complement()
+    basis = modulo.rows  # built on each request: read once
     rows: list[list[int]] = []
     for images in maps:
-        reduced = [dense_reduce_row(v, modulo.rows, modulo.pivots, p) for v in images]
+        reduced = [dense_reduce_row(v, basis, modulo.pivots, p) for v in images]
         rows += [[w[j] for w in reduced] for j in free]
     vectors = []
     for c in rref_kernel(rows, len(coords), p).rows:
@@ -466,6 +469,23 @@ def generator_ideal_equal(a: GradedIdeal, b: GradedIdeal) -> bool:
     return all(b.member(g) for g in generating_polys(a)) and all(
         a.member(g) for g in generating_polys(b)
     )
+
+
+def list_reduce_row(vectors, basis, pivots, free, p):
+    """``_kernels.reduce_row`` on dense list rows: the reductions of the
+    vectors modulo the span of an RREF basis on its free columns, by one
+    multiply-add of the free block of each row whose pivot entry is
+    nonzero."""
+    blocks = [[r[f] for f in free] for r in basis]
+    out = []
+    for v in vectors:
+        acc = [v[f] for f in free]
+        for c, b in zip(pivots, blocks):
+            x = v[c]
+            if x:
+                acc = [a - x * y for a, y in zip(acc, b)]
+        out.append([a % p for a in acc])
+    return out
 
 
 def dense_reduce_row(v, basis, pivots, p) -> list[int]:

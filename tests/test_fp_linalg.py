@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from modinv.fp_linalg import Subspace, kernel, preimage
+from modinv.fp_linalg import Subspace, _width, kernel, preimage
 from oracles import dense_reduce_row, dense_shift, dense_sum, full_reduce_preimage, rref_kernel
 
 BIG_PRIMES = [2**31 - 1, 4294967311]  # (p - 1)**2 takes 62 and 65 bits: packed slots past 64 bits
@@ -246,3 +246,78 @@ def test_reduce_contains_and_free_parts_match_dense_oracle(p):
                 assert sub.contains(v) == (not any(w))
             # the members (entries 4 to 7) reduce to zero
             assert all(sub.contains(v) for v in vectors[4:])
+
+
+def _assert_same(got, want):
+    assert got == want
+    assert got.pivots == want.pivots and got.rows == want.rows
+
+
+def _check_chain(rng, p, top):
+    """An ideal-like chain: from the zero slice, each degree is the shift of
+    the one below plus, now and then from degree 3 on, a generator row with
+    one to three random entries, each step compared with the dense oracles. Returns the
+    slot widths met."""
+    s = Subspace.zero(p, 1)
+    widths = {s.w}
+    for d in range(1, top + 1):
+        t = s.shift()
+        _assert_same(t, dense_shift(s))
+        for _ in range(rng.choice([0] * 6 + [1, 1, 2]) if d >= 3 else 0):
+            row = [0] * (d + 1)
+            for j in rng.sample(range(d + 1), min(d + 1, rng.randrange(1, 4))):
+                row[j] = rng.randrange(-p, 2 * p)
+            g = Subspace.span(p, d + 1, [row])
+            want = dense_sum(t, g)
+            t = t.sum(g)
+            _assert_same(t, want)
+        assert t.base is not None  # the next shift reduces the new rows only
+        s = t
+        widths.add(s.w)
+    return widths
+
+
+@pytest.mark.parametrize("p", [2, 3, 13, 65537] + BIG_PRIMES)
+def test_shift_and_sum_chains_match_dense_oracles(p):
+    rng = random.Random(p % 1021)
+    for _ in range(6):
+        _check_chain(rng, p, 25)
+
+
+@pytest.mark.parametrize("p", [2, 13, 2**31 - 1])
+def test_chain_across_slot_width_boundaries(p):
+    # w grows with ncols, so the blocks that shift carries up a degree are
+    # repacked where it changes, and read at the new width after that
+    rng = random.Random(7 * p % 1031)
+    assert len(_check_chain(rng, p, 30)) >= 3
+
+
+def _worst_case(p, n, c):
+    """Pivots 0..n-c-1 with every free entry p - 1, and the all-(p - 1)
+    vector, which hits every pivot."""
+    rows = [[int(j == i) if j < n - c else p - 1 for j in range(n)] for i in range(n - c)]
+    return Subspace.span(p, n, rows), [p - 1] * n
+
+
+@pytest.mark.parametrize("p", [2, 13] + BIG_PRIMES)
+def test_reduction_at_the_slot_bound(p):
+    # every slot of the sum reaches npivots * (p - 1)**2
+    top = 4 * 13**2 + 1 if p == 13 else 200
+    for n in (2, 17, top):
+        for c in (1, n // 2):
+            sub, v = _worst_case(p, n, c)
+            want = dense_reduce_row(v, sub.rows, sub.pivots, p)
+            assert sub.reduce(v) == want
+            assert sub.w == _width(p, n) and (p + n * (p - 1) ** 2) < 2**sub.w
+
+
+@pytest.mark.parametrize("p", [2, 13] + BIG_PRIMES)
+def test_clearing_new_pivots_at_the_slot_bound(p):
+    # old rows with every free entry p - 1, new rows with entries 1 off
+    # their pivots: clearing k new pivots adds k * (p - 1)**2 to a slot
+    n, c = 120, 60
+    old, _ = _worst_case(p, n, c)
+    k = c - 1
+    new = [[0] * (n - c) + [int(j == i) if j < k else 1 for j in range(c)] for i in range(k)]
+    added = Subspace.span(p, n, new)
+    _assert_same(old.sum(added), dense_sum(old, added))

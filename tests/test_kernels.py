@@ -2,12 +2,21 @@
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modinv import _kernels
+from modinv.fp_linalg import Subspace
+from oracles import list_reduce_row
 
 PRIMES = [2, 3, 5, 7, 13]
+BIG_PRIMES = [65537, 2**31 - 1, 4294967311]
+
+
+def packed_reduce(vectors, sub):
+    """``_kernels.reduce_row`` on the stored blocks of a subspace."""
+    return _kernels.reduce_row(vectors, sub.blocks, sub.pivots, sub.free, sub.w, sub.p)
 
 
 def random_matrix(rng, p, m, n):
@@ -46,10 +55,25 @@ def test_rref_does_not_mutate_input():
 
 
 def test_reduce_row_membership():
-    basis, pivots = _kernels.rref([[1, 0, 2], [0, 1, 0]], 5)
-    member, outside = _kernels.reduce_row([[1, 1, 2], [0, 0, 1]], basis, pivots, [2], 5)
+    sub = Subspace.span(5, 3, [[1, 0, 2], [0, 1, 0]])
+    member, outside = packed_reduce([[1, 1, 2], [0, 0, 1]], sub)
     assert member == [0]
     assert any(outside)
+
+
+@pytest.mark.parametrize("p", PRIMES + BIG_PRIMES)
+def test_reduce_row_matches_list_oracle(p):
+    # zero, full, sparse and dense subspaces; vectors with unreduced and
+    # negative entries
+    rng = random.Random(p % 1019)
+    for _ in range(40):
+        n = rng.randrange(1, 10)
+        k = rng.randrange(0, n + 1)
+        rows = [[rng.randrange(-p, 2 * p) if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(k)]
+        sub = Subspace.span(p, n, rows)
+        vectors = [[rng.randrange(-2 * p, 2 * p) for _ in range(n)] for _ in range(4)] + [[0] * n]
+        want = list_reduce_row(vectors, sub.rows, sub.pivots, sub.free, p)
+        assert packed_reduce(vectors, sub) == want
 
 
 def test_convolve_known():
@@ -61,7 +85,8 @@ def test_kernels_are_exact_above_64_bit_products():
     p = 4294967311  # the least prime above 2**32
     assert _kernels.rref([[p - 1, 2], [3, p - 2]], p) == ([[1, 0], [0, 1]], [0, 1])
     # (p - 1)**2 = 1 mod p: [p - 1, 1] is (p - 1) times the basis row
-    assert _kernels.reduce_row([[p - 1, 1], [p - 1, 2]], [[1, p - 1]], [0], [1], p) == [[0], [1]]
+    sub = Subspace.span(p, 2, [[1, p - 1]])
+    assert packed_reduce([[p - 1, 1], [p - 1, 2]], sub) == [[0], [1]]
     # (2t - 1)(-3t - 1) = -6t^2 + t + 1
     assert _kernels.convolve([p - 1, 2], [p - 1, p - 3], p) == [1, 1, p - 6]
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from modinv import poly2
+from modinv import _kernels, poly2
 from modinv.fp_arith import divisors
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import GradedIdeal, InfiniteQuotientError, ideal_equal
@@ -187,3 +187,50 @@ def test_fundamental_class_monomial_survives_to_the_top(p):
             muu = Poly2.monomial(p, 1, r - 1, p * s - 1)
             assert muu.degree() == topu
             assert not j1u.member(muu)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_extra_generators_start_from_the_parent_slices(p):
+    ideals = stable_chain(catalog_group("L", p, 1)).ideals
+    assert len(ideals) >= 2
+    for parent, child in zip(ideals, ideals[1:]):
+        low = min(g.degree() for g in child.generators[len(parent.generators):])
+        assert all(child.slice(d) is parent.slice(d) for d in range(low))
+        fresh = GradedIdeal(p, child.generators, child.slice_source)
+        top = child.top_degree()
+        assert fresh.top_degree() == top
+        assert all(child.slice(d) == fresh.slice(d) for d in range(top + 2))
+
+
+def test_shift_reduces_only_the_rows_new_since_the_slice_below(monkeypatch):
+    # the shift of slice d hands its 1 + c_{d-1} - c_d rows with pivots not
+    # pivots of slice d - 1 to the reduction, c_d the codimension of slice d
+    # (c_{-1} = 0), not all d + 1 - c_d of its rows
+    p = 7
+    j1 = compute_J1(catalog_group("L", p, 1))
+    handed: dict[int, int] = {}
+    inside: list[int] = []
+    shift, reduce_row = Subspace.shift, _kernels.reduce_row
+
+    def counting_shift(self):
+        inside.append(self.ncols - 1)
+        handed[self.ncols - 1] = 0
+        try:
+            return shift(self)
+        finally:
+            inside.pop()
+
+    def counting_reduce_row(vectors, *args):
+        if inside:
+            handed[inside[-1]] += len(vectors)
+        return reduce_row(vectors, *args)
+
+    monkeypatch.setattr(Subspace, "shift", counting_shift)
+    monkeypatch.setattr(_kernels, "reduce_row", counting_reduce_row)
+    top = j1.top_degree()
+    j1.slice(top + 1)
+    monkeypatch.undo()
+    codim = [d + 1 - j1.slice(d).dim for d in range(top + 1)]
+    expected = {d: 1 + (codim[d - 1] if d else 0) - codim[d] for d in range(top + 1)}
+    assert handed == expected
+    assert sum(expected.values()) == j1.slice(top).dim < sum(d + 1 - c for d, c in enumerate(codim))
