@@ -4,8 +4,7 @@ Subcommands: verify (theorem checks), stable (invariant ideal chain),
 gen (generalized invariants of a reflection set), classify (conjugacy
 class of a matrix group), invariants (per-degree invariant bases).
 Exit codes: 0 all checks pass, 1 any check fails, 2 usage error or a
-computation stopped at a cap (the degree cap, MODINV_MAX_DEGREE, or the
-group closure cap).
+computation stopped at the degree cap (4 p^2, or MODINV_MAX_DEGREE).
 """
 
 from __future__ import annotations

@@ -13,20 +13,15 @@ On the degree-d slice an operator's matrix is (A - 1) / v: the rows of
 coordinates are built, each on demand from cached powers of the
 reflection's two image forms. Each operator is a twisted derivation,
 D(f g) = D(f) g + sigma(f) D(g), so the generalized invariants form an
-ideal. Its homogeneous
-pieces are computed by a per-degree dynamic program: f of degree d is
-generalized invariant iff every single operator sends it into the
-degree d-1 piece. P_1 times the degree d-1 piece (``Subspace.shift``)
-lies in the degree-d piece, so only the canonical representatives modulo
-that product are searched, with one ``fp_linalg.preimage``, and the level
-is the shift plus what that finds (the incremental ``Subspace.sum``). The
-levels are stored in the codimension form of ``fp_linalg``, and
-``preimage`` reduces the operator images against level(d-1)'s packed
-rows. Since level(d-1) contains P_1 * level(d-2), its shift is
-x * level(d-1) plus y times its rows with pivots not pivots of
-level(d-2), and only those rows are reduced. The tests check the result
-against the literal chain enumeration and against the same program run
-over every coordinate.
+ideal. Its homogeneous pieces, the levels, are the slices of a
+``GradedIdeal`` whose slice source is a per-degree search: f of degree d
+is generalized invariant iff every single operator sends it into
+level(d-1). level(d) contains P_1 * level(d-1), the known part the ideal
+hands the source, so the source searches only the canonical
+representatives modulo it, with one ``fp_linalg.preimage`` that reduces
+the operator images against level(d-1)'s packed rows. The tests check the
+result against the literal chain enumeration and against the same
+program run over every coordinate.
 """
 
 from __future__ import annotations
@@ -34,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from modinv.fp_arith import check_prime, inv_mod, lucas_binom
+from modinv.fp_arith import check_prime, lucas_binom
 from modinv.fp_linalg import Subspace, preimage
 from modinv.graded_ideal import GradedIdeal, default_degree_cap
 from modinv.grp2 import CapExceededError, Mat2, Reflection, omega, omega_prime
@@ -109,65 +104,53 @@ class GenInvResult:
         return [d for d, _ in self.generators]
 
 
-def generalized_ideal(s: Sequence, cap: Optional[int] = None) -> GenInvResult:
+def generalized_ideal(s: Sequence) -> GenInvResult:
     """Compute the generalized invariant ideal of a nonempty reflection set.
 
-    level(d), the degree-d piece, holds the f whose image under every
-    operator matrix ``delta_slice_rows`` lies in level(d-1). The
-    generalized invariants form an ideal (D(x f) = sigma(x) D(f) + D(x) f),
-    so level(d) contains W = P_1 * level(d-1) and is W plus the canonical
-    representatives modulo W that it holds: one ``preimage`` over the
-    non-pivot coordinates of W. The echelon rows of that preimage, which
-    have leading coefficient 1, are the degree-d minimal generators.
+    The levels are the slices of a ``GradedIdeal`` whose source is the
+    search: level(d) holds the f whose image under every operator matrix
+    ``delta_slice_rows`` lies in level(d-1). It contains the known part
+    W = P_1 * level(d-1) (D(x f) = sigma(x) D(f) + D(x) f) and is W plus
+    the canonical representatives modulo W that it holds: one ``preimage``
+    over the non-pivot coordinates of W. The echelon rows of that
+    preimage, which have leading coefficient 1, are the degree-d minimal
+    generators.
 
     Scanning stops once two minimal generators are found and the scan has
     reached the sum of their degrees; the regular sequence certificate is
     that exactly two minimal generators exist by then and the quotient
-    vanishes in degree d1 + d2 - 1. The ideal of a regular sequence is
-    returned by its two generators, whose slices are the levels in every
-    degree; otherwise the levels are its slice source.
+    vanishes in degree d1 + d2 - 1. The levels are then the slices of the
+    two generators, and the ideal they generate starts from them;
+    otherwise the levels ideal itself is returned.
     """
     ops = _reflections(s)
     p = ops[0].p
-    if cap is None:
-        cap = default_degree_cap(p)
+    preimages: dict[int, Subspace] = {}  # read by the generator scan
 
-    levels: list[Subspace] = [Subspace.zero(p, 1)]
-    found: list[tuple[tuple[int, ...], ...]] = [()]  # the preimage rows, by degree
+    def search(e: int, below: Subspace, known: Subspace) -> Subspace:
+        coords = known.complement()
+        new = Subspace.zero(p, e + 1)
+        if coords:
+            new = preimage(p, e + 1, coords, [delta_slice_rows(op, e, coords) for op in ops], below)
+        preimages[e] = new
+        return new
 
-    def level(d: int) -> Subspace:
-        while len(levels) <= d:
-            e = len(levels)
-            w = levels[e - 1].shift()
-            coords = w.complement()
-            new = Subspace.zero(p, e + 1)
-            if coords:
-                maps = [delta_slice_rows(op, e, coords) for op in ops]
-                new = preimage(p, e + 1, coords, maps, levels[e - 1])
-            levels.append(w.sum(new))
-            found.append(new.rows)
-        return levels[d]
-
+    levels = GradedIdeal(p, [], slice_source=search)
+    cap = default_degree_cap(p)
     gens: list[tuple[int, Poly2]] = []
-    d = 1
-    while d <= cap:
-        level(d)
-        gens += [(d, poly_from_slice(p, d, v)) for v in found[d]]
+    for d in range(1, cap + 1):
+        levels.slice(d)
+        gens += [(d, poly_from_slice(p, d, v)) for v in preimages.pop(d).rows]
         if len(gens) >= 2 and d >= gens[0][0] + gens[1][0]:
             break
-        d += 1
     else:
         raise CapExceededError(
             f"no two generalized invariant generators found through degree {cap}"
         )
 
     d1, d2 = gens[0][0], gens[1][0]
-    quotient_vanishes = level(d1 + d2 - 1).is_full
-    regular = quotient_vanishes and len(gens) == 2
-    if regular:
-        ideal = GradedIdeal(p, [g for _, g in gens])
-    else:
-        ideal = GradedIdeal(p, [], slice_source=level)
+    regular = len(gens) == 2 and levels.slice(d1 + d2 - 1).is_full
+    ideal = levels.with_generators([g for _, g in gens], d1 + d2 - 1) if regular else levels
     top = d1 + d2 - 2 if regular else None
     return GenInvResult(ideal=ideal, generators=gens, regular_sequence=regular, top_degree=top)
 
@@ -230,7 +213,7 @@ def verify_operadorsD(p: int):
             rep.add(Check.skip("item3_iterate_x_i_plus_1", "requires 1/2, undefined at p = 2"))
         else:
             ok3 = True
-            half = inv_mod(2, p)
+            half = pow(2, -1, p)
             fact = 1
             for i in range(p):
                 fact = fact * (i + 1) % p

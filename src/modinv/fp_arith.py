@@ -1,6 +1,6 @@
 """Exact arithmetic in the prime field F_p.
 
-Modular inverses, binomial coefficients via base-p digit products,
+Prime checks, binomial coefficients via base-p digit products,
 and the alternating binomial sum identity used by the coinvariant
 computations. Also home of the primitive root search that fixes the
 generator of F_p* used by the group catalog.
@@ -27,13 +27,6 @@ def check_prime(p: int) -> int:
     return p
 
 
-def inv_mod(a: int, p: int) -> int:
-    """Inverse of a nonzero residue; ZeroDivisionError when a = 0 mod p."""
-    if a % p == 0:
-        raise ZeroDivisionError(f"0 has no inverse mod {p}")
-    return pow(a, -1, p)
-
-
 def _small_binom(a: int, b: int, p: int) -> int:
     # a, b < p; plain Pascal product, all intermediates < p**2
     if b < 0 or b > a:
@@ -43,7 +36,7 @@ def _small_binom(a: int, b: int, p: int) -> int:
     for i in range(b):
         num = num * ((a - i) % p) % p
         den = den * (i + 1) % p
-    return num * inv_mod(den, p) % p if den else 0
+    return num * pow(den, -1, p) % p
 
 
 def lucas_binom(a: int, b: int, p: int) -> int:

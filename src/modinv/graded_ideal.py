@@ -1,32 +1,34 @@
 """Homogeneous ideals of F_p[x, y] as exact per-degree slices.
 
 An ideal is represented by explicit homogeneous generators plus an
-optional per-degree slice source (used for the ideal generated by all
-positive-degree invariants of a group, which has no a-priori generator
-degree bound). The degree-d slice is built exactly by the recursion
+optional per-degree slice source: the invariants of a group for J_1,
+which has no a-priori generator degree bound, or the search of
+``demazure.generalized_ideal``. The degree-d slice is built exactly by
+the recursion
 
-    slice(d) = x*slice(d-1) + y*slice(d-1) + generators of degree d
-               + source(d),
+    known(d) = x*slice(d-1) + y*slice(d-1) + generators of degree d,
+    slice(d) = known(d) + source(d, slice(d-1), known(d)),
 
 which equals the sum over e <= d of P_{d-e} times the degree-e input and
-is therefore exact at every degree. Slices are ``fp_linalg.Subspace``s in
-codimension form: pivots, free columns and one packed int per echelon
-row. P_1 * slice(d-1) is ``Subspace.shift``, which
-``demazure.generalized_ideal`` also uses for its levels. slice(d-1)
-contains P_1 * slice(d-2), so the shift is x * slice(d-1) plus y times
-the rows of slice(d-1) whose pivots are not pivots of slice(d-2); only
-those rows are reduced (the proof is in ``fp_linalg``). The generators
-and the source slice are added by the incremental ``Subspace.sum``, which
-echelonizes only their reductions on the free columns.
-``with_extra_generators`` starts the larger ideal from the cached slices
-below its lowest new generator degree, where the two ideals agree.
+is therefore exact at every degree. ``GradedIdeal._next_slice`` is the
+only code that builds a slice from the one below. A source may read its
+two subspace arguments or ignore them; it never calls back into its own
+ideal. Slices are ``fp_linalg.Subspace``s in codimension form: pivots,
+free columns and one packed int per echelon row. P_1 * slice(d-1) is
+``Subspace.shift``. slice(d-1) contains P_1 * slice(d-2), so the shift is
+x * slice(d-1) plus y times the rows of slice(d-1) whose pivots are not
+pivots of slice(d-2); only those rows are reduced (the proof is in
+``fp_linalg``). The generators and the source slice are added by the
+incremental ``Subspace.sum``, which echelonizes only their reductions on
+the free columns. ``with_extra_generators`` and ``with_generators`` start
+a new ideal from the cached slices of one it agrees with in those
+degrees.
 
 Minimal generators are read off degree by degree by one extraction,
 ``degree_generators(p, d, below, cur)``: the echelon lifts of cur modulo
 P_1 * below, each scaled to leading coefficient 1. It serves
-``minimal_generators`` only; ``generalized_ideal`` searches its levels
-modulo P_1 times the level below, so its generators come out of that
-search.
+``minimal_generators`` only; the generalized search looks only off
+P_1 times the level below, so its generators come out of that search.
 
 The slices are canonical (reduced echelon), so two ideals are equal iff
 their slices agree through a degree in which both are generated
@@ -50,7 +52,7 @@ import threading
 from dataclasses import dataclass
 from typing import Callable, Optional, Sequence
 
-from modinv.fp_arith import check_prime, inv_mod
+from modinv.fp_arith import check_prime
 from modinv.fp_linalg import Subspace, kernel, preimage
 from modinv.grp2 import Mat2
 from modinv.poly2 import Poly2, act_minus_identity, poly_from_slice, slice_vector
@@ -83,13 +85,15 @@ class InfiniteQuotientError(RuntimeError):
 
 
 class GradedIdeal:
-    """A homogeneous ideal with cached canonical degree slices."""
+    """A homogeneous ideal with cached canonical degree slices. A slice
+    source is called as ``slice_source(e, below, known)`` and returns a
+    degree-e subspace to add to ``known`` (see the module docstring)."""
 
     def __init__(
         self,
         p: int,
         generators: Sequence[Poly2] = (),
-        slice_source: Optional[Callable[[int], Subspace]] = None,
+        slice_source: Optional[Callable[[int, Subspace, Subspace], Subspace]] = None,
     ):
         check_prime(p)
         gens = []
@@ -122,6 +126,14 @@ class GradedIdeal:
         out._slices = self._slices[:low]
         return out
 
+    def with_generators(self, generators: Sequence[Poly2], through: int) -> "GradedIdeal":
+        """The ideal of these generators alone, which the caller knows to
+        agree with this ideal through degree ``through``: it starts from this
+        ideal's cached slices there."""
+        out = GradedIdeal(self.p, generators)
+        out._slices = self._slices[: through + 1]
+        return out
+
     def slice(self, d: int) -> Subspace:
         """Canonical subspace of the degree-d piece of the ideal."""
         if d < 0:
@@ -140,7 +152,7 @@ class GradedIdeal:
         if rows:
             sub = sub.sum(Subspace.span(self.p, e + 1, rows))
         if self.slice_source is not None:
-            sub = sub.sum(self.slice_source(e))
+            sub = sub.sum(self.slice_source(e, prev, sub))
         if prev.is_full and not sub.is_full:
             raise AssertionError("saturation violated: full slice followed by proper slice")
         return sub
@@ -231,21 +243,19 @@ def degree_generators(p: int, d: int, below: Subspace, cur: Subspace) -> list[Po
         if any(red):
             lead = next(x for x in red if x)
             if lead != 1:
-                s = inv_mod(lead, p)
+                s = pow(lead, -1, p)
                 red = [x * s % p for x in red]
             out.append(poly_from_slice(p, d, red))
             w = w.sum(Subspace.span(p, d + 1, [red]))
     return out
 
 
-def minimal_generators(ideal: GradedIdeal, through: Optional[int] = None) -> list[Poly2]:
+def minimal_generators(ideal: GradedIdeal) -> list[Poly2]:
     """Minimal homogeneous generators, by increasing degree, from
-    ``degree_generators`` on the ideal's slices. For a finite quotient the
-    scan through topdeg + 1 is exhaustive."""
-    if through is None:
-        through = ideal.top_degree() + 1
+    ``degree_generators`` on the ideal's slices. The quotient must be
+    finite; the scan through topdeg + 1 is then exhaustive."""
     out: list[Poly2] = []
-    for d in range(1, through + 1):
+    for d in range(1, ideal.top_degree() + 2):
         out += degree_generators(ideal.p, d, ideal.slice(d - 1), ideal.slice(d))
     return out
 

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional, Sequence
 
-from modinv.fp_arith import check_prime, divisors, inv_mod, primitive_root
+from modinv.fp_arith import check_prime, divisors, primitive_root
 from modinv.poly2 import LinearForm
 
 _setattr = object.__setattr__
@@ -95,7 +95,7 @@ class Mat2:
 
     def inv(self) -> "Mat2":
         p = self.p
-        di = inv_mod(self.det(), p)
+        di = pow(self.det(), -1, p)
         return Mat2._trusted(p, self.d * di % p, -self.b * di % p, -self.c * di % p, self.a * di % p)
 
     def is_diagonal(self) -> bool:
@@ -235,7 +235,7 @@ class _RowMap(dict):
         return out
 
 
-def _grow(p: int, seen: set, frontier: list, maps: list, cap: int) -> None:
+def _grow(p: int, seen: set, frontier: list, maps: list) -> None:
     """Breadth-first: add to ``seen`` every product of a frontier element
     with the right multiplications ``maps``, until nothing new appears."""
     pp = p * p
@@ -248,8 +248,6 @@ def _grow(p: int, seen: set, frontier: list, maps: list, cap: int) -> None:
                 if nxt not in seen:
                     seen.add(nxt)
                     new.append(nxt)
-            if len(seen) > cap:
-                raise CapExceededError(f"closure exceeded cap {cap}")
         frontier = new
 
 
@@ -307,23 +305,18 @@ class MatrixGroup:
         return f"MatrixGroup(p={self.p}, order={self.order})"
 
 
-def generate_closure(gens: Sequence[Mat2], cap: Optional[int] = None) -> MatrixGroup:
-    """Breadth-first closure of the generators under multiplication.
-
-    The default cap is |GL_2(F_p)|, which can never be exceeded; a smaller
-    cap guards misconfigured callers.
-    """
+def generate_closure(gens: Sequence[Mat2]) -> MatrixGroup:
+    """Breadth-first closure of the generators under multiplication. It
+    stays inside GL_2(F_p), so it ends with at most |GL_2(F_p)| elements."""
     if not gens:
         raise ValueError("need at least one generator (the identity gives the trivial group)")
     p = gens[0].p
     for g in gens:
         if g.p != p:
             raise ValueError("prime mismatch among generators")
-    if cap is None:
-        cap = gl2_order(p)
     ident = _identity_code(p)
     seen = {ident}
-    _grow(p, seen, [ident], [_RowMap(p, g.entries) for g in gens], cap)
+    _grow(p, seen, [ident], [_RowMap(p, g.entries) for g in gens])
     return MatrixGroup(p, frozenset(seen), tuple(gens))
 
 
@@ -414,7 +407,7 @@ def _transvection_lines(g: MatrixGroup) -> set[tuple[int, int]]:
         # then b = 0 forces a = 1, and m - 1 = (0,0;c,0) fixes (0, 1)
         if code == _identity_code(p) or (a + d - 2) % p or (a * d - b * c - 1) % p:
             continue
-        lines.add((1, (1 - a) * inv_mod(b, p) % p) if b else (0, 1))
+        lines.add((1, (1 - a) * pow(b, -1, p) % p) if b else (0, 1))
         if len(lines) > 1:
             break
     return lines
@@ -474,7 +467,7 @@ def _reflections_generate(g: MatrixGroup) -> bool:
         new = [n for n in (rows[m // pp] * pp + rows[m % pp] for m in seen) if n not in seen]
         seen.update(new)
         maps.append(rows)
-        _grow(p, seen, new, maps, gl2_order(p))
+        _grow(p, seen, new, maps)
         if len(seen) == g.order:
             return True
     return len(seen) == g.order

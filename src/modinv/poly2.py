@@ -29,7 +29,7 @@ from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
 from modinv import _kernels
-from modinv.fp_arith import check_prime, inv_mod
+from modinv.fp_arith import check_prime
 
 
 class NotDivisibleError(ArithmeticError):
@@ -187,7 +187,7 @@ class LinearForm:
         if a == 0 and b == 0:
             raise ValueError("linear form must be nonzero")
         if a:
-            s = inv_mod(a, p)
+            s = pow(a, -1, p)
             a, b = 1, b * s % p
         else:
             b = 1
@@ -515,7 +515,7 @@ def lex_normal_forms(g: Poly2, d: int) -> list[dict[int, int]]:
     p = g.p
     a = max(i for i, _ in g.terms)
     b = g.degree() - a
-    c_inv = inv_mod(g.terms[(a, b)], p)
+    c_inv = pow(g.terms[(a, b)], -1, p)
     tail = [(a - u, (p - c) * c_inv % p) for (u, _), c in g.terms.items() if u != a]
     out = [{i: 1} for i in range(d + 1)]
     for i in range(a, d - b + 1):

@@ -24,6 +24,9 @@ from modinv.grp2 import Mat2, MatrixGroup, catalog_group
 from modinv.poly2 import Poly2, d1, delta, gamma, poly_from_slice
 
 
+MAX_ITERATIONS = 10  # chain steps before stable_chain refuses
+
+
 class MaxIterationsError(RuntimeError):
     pass
 
@@ -58,7 +61,8 @@ def compute_J1(group: MatrixGroup) -> GradedIdeal:
     gens = fixing_set(group)
     cache: dict[int, object] = {}
 
-    def source(e: int):
+    def source(e: int, below, known):
+        # the degree-e invariants: they do not depend on the slice below
         if e not in cache:
             cache[e] = invariant_slice(p, gens, e)
         return cache[e]
@@ -86,12 +90,13 @@ def next_ideal(ideal: GradedIdeal, group: MatrixGroup) -> tuple[GradedIdeal, lis
     return ideal.with_extra_generators(new), new
 
 
-def stable_chain(group: MatrixGroup, max_iter: int = 10) -> StableChainResult:
-    """Iterate the chain until no new invariant classes appear."""
+def stable_chain(group: MatrixGroup) -> StableChainResult:
+    """Iterate the chain until no new invariant classes appear, refusing
+    after MAX_ITERATIONS steps."""
     current = compute_J1(group)
     ideals = [current]
     found: list[list[Poly2]] = []
-    for index in range(1, max_iter + 1):
+    for index in range(1, MAX_ITERATIONS + 1):
         nxt, new = next_ideal(current, group)
         found.append(new)
         if not new:
@@ -103,7 +108,7 @@ def stable_chain(group: MatrixGroup, max_iter: int = 10) -> StableChainResult:
             )
         ideals.append(nxt)
         current = nxt
-    raise MaxIterationsError(f"chain did not stabilize within {max_iter} iterations")
+    raise MaxIterationsError(f"chain did not stabilize within {MAX_ITERATIONS} iterations")
 
 
 def verify_basedos(p: int):

@@ -222,12 +222,17 @@ def _catalog_sets(p):
 
 def _check_against_full_preimage(refl):
     # the levels (read as the returned ideal's slices) and the generators
-    # through the end of the scan, against the recursion over every coordinate
+    # through the end of the scan, against the recursion over every coordinate;
+    # a regular result reuses the levels, so its two generators are checked
+    # to rebuild them in a fresh ideal
     res = generalized_ideal(refl)
     d1, d2 = res.generator_degrees[:2]
     levels, gens = full_preimage_levels(refl, d1 + d2)
     assert [res.ideal.slice(d) for d in range(d1 + d2 + 1)] == levels
     assert res.generators == gens
+    if res.regular_sequence:
+        fresh = GradedIdeal(refl[0].p, [g for _, g in res.generators])
+        assert [fresh.slice(d) for d in range(d1 + d2 + 1)] == levels
     return res
 
 
@@ -263,8 +268,8 @@ def test_generators_are_the_minimal_generators_of_the_ideal(p):
         res = generalized_ideal(refl)
         d1, d2 = res.generator_degrees[:2]
         levels, _ = full_preimage_levels(refl, d1 + d2)
-        oracle = GradedIdeal(p, [], slice_source=levels.__getitem__)
-        expected = [(g.degree(), g) for g in minimal_generators(oracle, through=d1 + d2)]
+        oracle = GradedIdeal(p, [], slice_source=lambda e, below, known: levels[e])
+        expected = [(g.degree(), g) for g in minimal_generators(oracle)]
         assert res.generators == expected
 
 
@@ -309,12 +314,11 @@ def test_operator_identities_p2_records_skips():
     assert {"item1_power_recurrence", "item2_iterate_x_i", "item4_twisted_power_rule"} <= passed
 
 
-def test_generalized_ideal_cap_exceeded():
-    from modinv.grp2 import CapExceededError
-
+def test_generalized_ideal_cap_exceeded(monkeypatch):
     p = 3
+    monkeypatch.setenv("MODINV_MAX_DEGREE", "3")
     with pytest.raises(CapExceededError):
-        generalized_ideal([Reflection(omega(p)), Reflection(omega_prime(p))], cap=3)
+        generalized_ideal([Reflection(omega(p)), Reflection(omega_prime(p))])
 
 
 def test_prime_to_p_set_has_coinciding_ideals():

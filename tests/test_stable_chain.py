@@ -134,10 +134,11 @@ def test_fundamental_class_degrees(p):
             assert top == (r - 1) + (p * s - 1)
 
 
-def test_max_iterations_error():
+def test_max_iterations_error(monkeypatch):
     p = 3
+    monkeypatch.setattr("modinv.stable_chain.MAX_ITERATIONS", 1)
     with pytest.raises(MaxIterationsError):
-        stable_chain(catalog_group("U", p, 1, 2), max_iter=1)
+        stable_chain(catalog_group("U", p, 1, 2))
 
 
 def test_new_invariants_recorded_per_step():
