@@ -11,7 +11,10 @@ group of order divisible by p is conjugate to exactly one catalog group.
 A group stores its elements as integer codes: [[a, b], [c, d]] is
 ((a*p + b)*p + c)*p + d, so integer order is entry order. Closure,
 conjugation and the reflection tests run on the codes; Mat2 objects are
-built only at the API edge (generators, witnesses, ``elements``).
+built only at the API edge (generators, witnesses, ``elements``). Closure
+adjoins one generator at a time by Dimino's coset algorithm (G. Butler,
+LNCS 559, 1991, ch. 6), and so does the test that a group is generated by
+its reflections: only coset representatives are tested for membership.
 
 Classification is constructive, by Dickson's theorem (L. E. Dickson,
 Linear Groups, 1901). A subgroup of order divisible by p contains
@@ -28,6 +31,7 @@ checked element by element before it is returned.
 
 from __future__ import annotations
 
+import itertools
 import re
 from dataclasses import dataclass
 from functools import lru_cache
@@ -132,11 +136,7 @@ def diag(p: int, a: int, b: int) -> Mat2:
 
 def is_reflection(m: Mat2) -> bool:
     """True iff m - 1 has rank exactly 1."""
-    p = m.p
-    e = ((m.a - 1) % p, m.b, m.c, (m.d - 1) % p)
-    if not any(e):
-        return False
-    return (e[0] * e[3] - e[1] * e[2]) % p == 0
+    return _is_reflection_entries(m.p, *m.entries)
 
 
 class Reflection:
@@ -183,11 +183,6 @@ def gl2_order(p: int) -> int:
     return (p * p - 1) * (p * p - p)
 
 
-def _code(m: Mat2) -> int:
-    p = m.p
-    return ((m.a * p + m.b) * p + m.c) * p + m.d
-
-
 def _entries(p: int, code: int) -> tuple[int, int, int, int]:
     hi, lo = divmod(code, p * p)
     return divmod(hi, p) + divmod(lo, p)
@@ -197,10 +192,9 @@ def _identity_code(p: int) -> int:
     return p * p * p + 1
 
 
-def _is_reflection_code(p: int, code: int) -> bool:
+def _is_reflection_entries(p: int, a: int, b: int, c: int, d: int) -> bool:
     # m - 1 has rank 1: m is not the identity and det(m - 1) = 1 - tr + det = 0
-    a, b, c, d = _entries(p, code)
-    return code != _identity_code(p) and (1 - a - d + a * d - b * c) % p == 0
+    return (a, b, c, d) != (1, 0, 0, 1) and (1 - a - d + a * d - b * c) % p == 0
 
 
 def _conjugate_codes(p: int, codes, ti: Mat2, t: Mat2):
@@ -223,9 +217,7 @@ class _RowMap(dict):
     __slots__ = ("p", "g")
 
     def __init__(self, p: int, g: tuple[int, int, int, int]):
-        super().__init__()
-        self.p = p
-        self.g = g
+        self.p, self.g = p, g
 
     def __missing__(self, row: int) -> int:
         p = self.p
@@ -235,27 +227,58 @@ class _RowMap(dict):
         return out
 
 
-def _grow(p: int, seen: set, frontier: list, maps: list) -> None:
-    """Breadth-first: add to ``seen`` every product of a frontier element
-    with the right multiplications ``maps``, until nothing new appears."""
+def _adjoin(p: int, elems: list, seen: set, maps: list, g: tuple[int, int, int, int]) -> None:
+    """One step of Dimino's coset closure (G. Butler, Fundamental
+    Algorithms for Permutation Groups, LNCS 559, 1991, ch. 6). ``elems``
+    lists and ``seen`` holds a subgroup H closed under the right
+    multiplications ``maps``, ``elems[0]`` the identity. The step adds g's
+    map and grows H to <H, g> by right cosets, blocks of |H| entries each
+    led by its representative r, scanned from the identity on: when r s is
+    new for a map s, the block of r mapped by s is the new coset H r s.
+    Cosets are disjoint, so only representatives are tested."""
     pp = p * p
-    while frontier:
-        new = []
-        for m in frontier:
-            hi, lo = divmod(m, pp)
-            for rows in maps:
-                nxt = rows[hi] * pp + rows[lo]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    new.append(nxt)
-        frontier = new
+    maps.append(_RowMap(p, g))
+    n, start = len(elems), 0
+    while start < len(elems):
+        hi, lo = divmod(elems[start], pp)
+        for rows in maps:
+            if rows[hi] * pp + rows[lo] not in seen:
+                block = [rows[m // pp] * pp + rows[m % pp] for m in elems[start : start + n]]
+                elems += block
+                seen.update(block)
+        start += n
+
+
+class _Elements:
+    """A group's elements as a read-only set of Mat2 over its codes. Size
+    and equality with another group's elements read the codes; only
+    iteration, in entry order, builds Mat2 objects."""
+
+    __slots__ = ("p", "codes")
+
+    def __init__(self, p: int, codes: frozenset[int]):
+        self.p, self.codes = p, codes
+
+    def __len__(self) -> int:
+        return len(self.codes)
+
+    def __iter__(self):
+        p = self.p
+        return (Mat2._trusted(p, *_entries(p, c)) for c in sorted(self.codes))
+
+    def __eq__(self, other):
+        if isinstance(other, _Elements):
+            return self.p == other.p and self.codes == other.codes
+        return frozenset(self) == other
 
 
 class MatrixGroup:
     """A finite subgroup of GL_2(F_p), closed under product and inverse.
 
     ``codes`` holds the element codes (see the module docstring);
-    ``elements`` builds the Mat2 set from them on each access.
+    ``elements`` is a set view of them as Mat2 objects. The
+    ``generators`` generate ``codes``: ``generate_closure`` and
+    ``conjugate`` keep this true, and the reflection test relies on it.
     """
 
     __slots__ = ("p", "codes", "generators")
@@ -271,20 +294,12 @@ class MatrixGroup:
         raise AttributeError("MatrixGroup is immutable")
 
     @property
-    def elements(self) -> frozenset[Mat2]:
-        p = self.p
-        return frozenset(Mat2._trusted(p, *_entries(p, c)) for c in self.codes)
+    def elements(self) -> "_Elements":
+        return _Elements(self.p, self.codes)
 
     @property
     def order(self) -> int:
         return len(self.codes)
-
-    def __contains__(self, m: Mat2) -> bool:
-        return isinstance(m, Mat2) and m.p == self.p and _code(m) in self.codes
-
-    def __iter__(self):
-        p = self.p
-        return (Mat2._trusted(p, *_entries(p, c)) for c in sorted(self.codes))
 
     def conjugate(self, g: Mat2) -> "MatrixGroup":
         """The group g^{-1} G g."""
@@ -306,17 +321,19 @@ class MatrixGroup:
 
 
 def generate_closure(gens: Sequence[Mat2]) -> MatrixGroup:
-    """Breadth-first closure of the generators under multiplication. It
-    stays inside GL_2(F_p), so it ends with at most |GL_2(F_p)| elements."""
+    """The group generated by ``gens``: the trivial group, then one coset
+    closure step (``_adjoin``) per generator. It stays inside GL_2(F_p),
+    so it ends with at most |GL_2(F_p)| elements."""
     if not gens:
         raise ValueError("need at least one generator (the identity gives the trivial group)")
     p = gens[0].p
     for g in gens:
         if g.p != p:
             raise ValueError("prime mismatch among generators")
-    ident = _identity_code(p)
-    seen = {ident}
-    _grow(p, seen, [ident], [_RowMap(p, g.entries) for g in gens])
+    elems = [_identity_code(p)]
+    seen, maps = set(elems), []
+    for g in gens:
+        _adjoin(p, elems, seen, maps, g.entries)
     return MatrixGroup(p, frozenset(seen), tuple(gens))
 
 
@@ -341,11 +358,7 @@ def catalog_generators(kind: str, p: int, r: int, s: Optional[int] = None) -> li
     elif kind == "U":
         if s is None or s < 1 or (p - 1) % s:
             raise ValueError(f"s={s} is not a positive divisor of p-1={p - 1}")
-        mats = [
-            omega_prime(p),
-            diag(p, pow(z, (p - 1) // r, p), 1),
-            diag(p, 1, pow(z, (p - 1) // s, p)),
-        ]
+        mats = [omega_prime(p), diag(p, pow(z, (p - 1) // r, p), 1), diag(p, 1, pow(z, (p - 1) // s, p))]
     else:
         raise ValueError(f"unknown catalog kind {kind!r}")
     ident = Mat2.identity(p)
@@ -386,14 +399,8 @@ class GroupClass:
 
 @lru_cache(maxsize=None)
 def all_invertible(p: int) -> tuple[Mat2, ...]:
-    out = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if (a * d - b * c) % p:
-                        out.append(Mat2(p, a, b, c, d))
-    return tuple(out)
+    quads = itertools.product(range(p), repeat=4)
+    return tuple(Mat2(p, *e) for e in quads if (e[0] * e[3] - e[1] * e[2]) % p)
 
 
 def _transvection_lines(g: MatrixGroup) -> set[tuple[int, int]]:
@@ -451,26 +458,22 @@ def find_conjugator(g: MatrixGroup, target: MatrixGroup) -> Optional[Mat2]:
 
 
 def _reflections_generate(g: MatrixGroup) -> bool:
-    # adjoin reflections only while the subgroup grows, extending the
-    # closure incrementally, and stop as soon as it fills g (the subgroup
-    # lies in g, so reaching |g| elements is equality)
+    # generators that are all reflections settle it, since they generate
+    # g; otherwise adjoin g's reflections while the subgroup grows and stop
+    # once it fills g (it lies in g, so reaching |g| elements is equality)
+    if all(is_reflection(m) for m in g.generators):
+        return True
     p = g.p
-    pp = p * p
-    seen = {_identity_code(p)}
-    maps: list[_RowMap] = []
+    elems = [_identity_code(p)]
+    seen, maps = set(elems), []
     for code in g.codes:
-        if code in seen or not _is_reflection_code(p, code):
+        entries = _entries(p, code)
+        if code in seen or not _is_reflection_entries(p, *entries):
             continue
-        rows = _RowMap(p, _entries(p, code))
-        # seen is closed under the earlier generators, so only its products
-        # with the new one are new; right multiplication is injective
-        new = [n for n in (rows[m // pp] * pp + rows[m % pp] for m in seen) if n not in seen]
-        seen.update(new)
-        maps.append(rows)
-        _grow(p, seen, new, maps)
-        if len(seen) == g.order:
+        _adjoin(p, elems, seen, maps, entries)
+        if len(elems) == g.order:
             return True
-    return len(seen) == g.order
+    return len(elems) == g.order
 
 
 def classify(g: MatrixGroup) -> GroupClass:
@@ -527,7 +530,4 @@ def parse_matrix_list(text: str, p: int) -> list[Mat2]:
     rows = [chunk for chunk in re.split(r"[;\s]+", text.strip()) if chunk]
     if len(rows) % 2 != 0:
         raise ValueError(f"odd number of matrix rows in {text!r}")
-    mats = []
-    for k in range(0, len(rows), 2):
-        mats.append(parse_matrix(rows[k] + ";" + rows[k + 1], p))
-    return mats
+    return [parse_matrix(rows[k] + ";" + rows[k + 1], p) for k in range(0, len(rows), 2)]

@@ -50,8 +50,13 @@ class StableChainResult:
 def fixing_set(group: MatrixGroup) -> list[Mat2]:
     """The generators and the diagonal elements of the group. They fix the
     same polynomials as the generators alone, and the fixed-subspace search
-    turns each diagonal one into a monomial filter ahead of its kernel."""
-    return list(group.generators) + [m for m in group if m.is_diagonal()]
+    turns each diagonal one into a monomial filter ahead of its kernel.
+    The code ((a*p + b)*p + c)*p + d has b = c = 0 iff it is below p mod
+    p^3, so only the diagonal codes are decoded, in code order."""
+    p = group.p
+    ppp = p * p * p
+    diagonal = sorted(code for code in group.codes if code % ppp < p)
+    return list(group.generators) + [Mat2(p, code // ppp, 0, 0, code % p) for code in diagonal]
 
 
 def compute_J1(group: MatrixGroup) -> GradedIdeal:

@@ -42,6 +42,19 @@ def _xr_ysp(p: int, r: int, s: int) -> GradedIdeal:
     return _ideal(p, poly2.power(p, "x", r), poly2.power(p, "y", s * p))
 
 
+def _generalized_matches(gens, expected: GradedIdeal, degrees: Optional[list[int]] = None) -> bool:
+    """Whether the generalized invariant ideal of ``gens`` is a regular
+    sequence ideal equal to ``expected``, with these generator degrees when
+    given. Only the verdict leaves, so one result's levels are freed before
+    the next search starts."""
+    res = demazure.generalized_ideal(gens)
+    return (
+        res.regular_sequence
+        and ideal_equal(res.ideal, expected)
+        and (degrees is None or sorted(res.generator_degrees) == sorted(degrees))
+    )
+
+
 def _random_invertible(rng: random.Random, p: int) -> Mat2:
     """A uniform element of GL_2(F_p): entries drawn one by one, singular
     draws rejected."""
@@ -309,8 +322,7 @@ def _run_genU(p: int) -> VerificationReport:
         ok_with_p = True
         for r in divisors(p - 1):
             for s in divisors(p - 1):
-                res = demazure.generalized_ideal(catalog_generators("U", p, r, s))
-                if not (res.regular_sequence and ideal_equal(res.ideal, _xr_ysp(p, r, s))):
+                if not _generalized_matches(catalog_generators("U", p, r, s), _xr_ysp(p, r, s)):
                     ok_with_p = False
         rep.add(Check.boolean("with_order_p_reflection", ok_with_p))
 
@@ -332,9 +344,8 @@ def _run_genU(p: int) -> VerificationReport:
             if (c.kind, c.r, c.s) != ("U", 1, s):
                 ok_diag_r1 = False
                 continue
-            res = demazure.generalized_ideal(gens)
             expected = _ideal(p, poly2.power(p, "x", 1), poly2.power(p, "y", s))
-            if not (res.regular_sequence and ideal_equal(res.ideal, expected)):
+            if not _generalized_matches(gens, expected):
                 ok_diag_r1 = False
         rep.add(Check.boolean("diagonalizable_sets_generating_U1s", ok_diag_r1))
 
@@ -352,8 +363,7 @@ def _run_genU(p: int) -> VerificationReport:
                 if (c.kind, c.r, c.s) != ("U", r, s):
                     ok_diag_r2 = False
                     continue
-                res = demazure.generalized_ideal(gens)
-                if not (res.regular_sequence and ideal_equal(res.ideal, _xr_ysp(p, r, s))):
+                if not _generalized_matches(gens, _xr_ysp(p, r, s)):
                     ok_diag_r2 = False
         rep.add(Check.boolean("diagonalizable_sets_with_r_above_1", ok_diag_r2))
     return rep
@@ -362,28 +372,14 @@ def _run_genU(p: int) -> VerificationReport:
 def _run_genL(p: int) -> VerificationReport:
     with timed_report(p, "genL") as rep:
         two_transvections = [grp2.Reflection(grp2.omega(p)), grp2.Reflection(grp2.omega_prime(p))]
-        res = demazure.generalized_ideal(two_transvections)
-        expected1 = _ideal(p, poly2.d1(p), poly2.delta(p))
-        rep.add(
-            Check.boolean(
-                "two_transvections",
-                res.regular_sequence
-                and ideal_equal(res.ideal, expected1)
-                and sorted(res.generator_degrees) == sorted([p + 1, p * p - p]),
-            )
-        )
+        expected = _ideal(p, poly2.d1(p), poly2.delta(p))
+        ok = _generalized_matches(two_transvections, expected, [p + 1, p * p - p])
+        rep.add(Check.boolean("two_transvections", ok))
         for r in divisors(p - 1):
-            res = demazure.generalized_ideal(catalog_generators("L", p, r))
+            # two degrees given, so a match has exactly two generators
             expected = _ideal(p, poly2.d1(p), poly2.delta(p) ** r)
-            rep.add(
-                Check.boolean(
-                    f"catalog_set_r{r}",
-                    res.regular_sequence
-                    and len(res.generators) == 2
-                    and ideal_equal(res.ideal, expected)
-                    and sorted(res.generator_degrees) == sorted([r * (p + 1), p * p - p]),
-                )
-            )
+            ok = _generalized_matches(catalog_generators("L", p, r), expected, [r * (p + 1), p * p - p])
+            rep.add(Check.boolean(f"catalog_set_r{r}", ok))
     return rep
 
 

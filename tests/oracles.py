@@ -5,7 +5,8 @@ that ``format_poly`` prints. Most of this is deliberately separate from
 the package internals: dense dict arithmetic over the integers reduced
 mod p at the end, substitution via explicit big-integer binomial
 expansion, and a literal long-division routine. Slow and obviously correct. The rest are the slow paths that
-faster library code replaced (the conjugator search, the shear division,
+faster library code replaced (the conjugator search, the breadth-first
+group closure and the reflection test built on it, the shear division,
 the action matrix from products of powers of the image forms, the
 iterated fixed-subspace kernel, the operator rows from that matrix, the
 generalized invariant levels searched over every coordinate, the dense
@@ -210,6 +211,36 @@ def brute_force_conjugator(group, target):
                     } == want:
                         return t
     return None
+
+
+def bfs_closure(gens) -> frozenset[int]:
+    """The element codes ((a*p + b)*p + c)*p + d of the group generated by
+    the Mat2 list ``gens``, breadth-first: every frontier element times
+    every generator, until nothing new appears."""
+    p = gens[0].p
+    mats = [m.entries for m in gens]
+    seen = frontier = {(1, 0, 0, 1)}
+    while frontier:
+        frontier = {_mat_mul(m, g, p) for m in frontier for g in mats} - seen
+        seen = seen | frontier
+    return frozenset(((a * p + b) * p + c) * p + d for a, b, c, d in seen)
+
+
+def reflections_generate(group) -> bool:
+    """Whether the group's reflections generate it: each reflection not yet
+    in the subgroup is adjoined, and the subgroup is closed again by
+    ``bfs_closure``."""
+    p = group.p
+    identity = p * p * p + 1
+    gens, codes = [], frozenset({identity})
+    for m in sorted(group.elements, key=lambda m: m.entries):
+        a, b, c, d = m.entries
+        moved = ((a - 1) % p, b, c, (d - 1) % p)
+        if any(moved) and (moved[0] * moved[3] - moved[1] * moved[2]) % p == 0:
+            if ((a * p + b) * p + c) * p + d not in codes:
+                gens.append(m)
+                codes = bfs_closure(gens)
+    return codes == group.codes
 
 
 def element_order(a, p):

@@ -4,13 +4,14 @@ import itertools
 import random
 
 import pytest
-from oracles import brute_force_conjugator
+from oracles import bfs_closure, brute_force_conjugator, reflections_generate
 
 from modinv.fp_arith import divisors
 from modinv.grp2 import (
     Mat2,
     MatrixGroup,
     Reflection,
+    _reflections_generate,
     all_invertible,
     all_reflections,
     catalog_generators,
@@ -141,6 +142,17 @@ def test_other_modular_detection():
     assert classify(g).kind == "other_modular"
 
 
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_non_reflection_generators_are_not_taken_as_the_answer(p):
+    # omega * omega' is not a reflection, yet <omega * omega', omega> is
+    # SL_2(F_p); the reflections of <-omega>, powers of omega, miss -omega
+    w, wp = omega(p), omega_prime(p)
+    assert not is_reflection(w * wp)
+    tag = classify(generate_closure([w * wp, w]))
+    assert (tag.kind, tag.r) == ("L", 1)
+    assert classify(generate_closure([Mat2(p, -1, 0, -1, -1)])).kind == "other_modular"
+
+
 @pytest.mark.parametrize("p", [3, 5])
 def test_classification_invariant_under_conjugation(p):
     rng = random.Random(40 + p)
@@ -209,7 +221,8 @@ def test_matrix_grammar():
 
 def test_group_iteration_is_deterministic():
     g = catalog_group("U", 3, 2, 2)
-    assert [m.entries for m in g] == sorted(m.entries for m in g.elements)
+    assert [m.entries for m in g.elements] == sorted(m.entries for m in g.elements)
+    assert len(g.elements) == g.order == len(set(g.elements))
     # the element set round-trips through the public constructor
     assert MatrixGroup(3, _codes(g.elements), g.generators) == g
 
@@ -249,3 +262,80 @@ def test_find_conjugator_matches_oracle_on_conjugated_catalog(p):
     mats = all_invertible(p)
     conjugators = mats if p <= 3 else rng.sample(mats, 3)
     _assert_witnesses_match_oracle([g.conjugate(t) for g in _catalog(p) for t in conjugators], p)
+
+
+def _conjugated_catalog(p, count):
+    rng = random.Random(90 + p)
+    mats = all_invertible(p)
+    for kind, r, s in [("L", r, None) for r in divisors(p - 1)] + [
+        ("U", r, s) for r in divisors(p - 1) for s in divisors(p - 1)
+    ]:
+        gens = [refl.matrix for refl in catalog_generators(kind, p, r, s)]
+        yield gens
+        for t in rng.sample(mats, count):
+            yield [t.inv() * m * t for m in gens]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_closure_matches_bfs_oracle_on_catalog(p):
+    for gens in _conjugated_catalog(p, 2 if p <= 7 else 1):
+        assert generate_closure(gens).codes == bfs_closure(gens)
+
+
+def _seeded_generator_lists(p):
+    rng = random.Random(60 + p)
+    mats = all_invertible(p)
+    w, wp, ident = omega(p), omega_prime(p), Mat2.identity(p)
+    lists = [[ident], [w, w], [w, wp, w * wp], [Mat2(p, -1, 0, -1, -1)], [ident, w, ident, wp]]
+    lists += [rng.sample(mats, rng.randint(1, 4)) for _ in range(16)]
+    refs = all_reflections(p)
+    lists += [rng.sample(refs, rng.randint(1, 3)) for _ in range(12)]
+    return lists
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_closure_matches_bfs_oracle_on_seeded_lists(p):
+    # the identity, a repeated generator, one already in the subgroup,
+    # non-reflections such as -omega, then seeded draws
+    for gens in _seeded_generator_lists(p):
+        assert generate_closure(gens).codes == bfs_closure(gens)
+
+
+def _with_identity(g):
+    # the same group with a non-reflection generator, so the test adjoins
+    # its reflections instead of reading the generators
+    return MatrixGroup(g.p, g.codes, g.generators + (Mat2.identity(g.p),))
+
+
+def test_reflections_generate_matches_oracle_on_gl2_f3():
+    # every closure of at most three matrices, one extra generator at a time
+    mats = all_invertible(3)
+    layer = {generate_closure([m]) for m in mats}
+    groups = set(layer)
+    for _ in range(2):
+        layer = {generate_closure(list(h.generators) + [m]) for h in layer for m in mats} - groups
+        groups |= layer
+    for g in groups:
+        want = reflections_generate(g)
+        assert _reflections_generate(g) == want
+        assert _reflections_generate(_with_identity(g)) == want
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_reflections_generate_matches_oracle_on_seeded_sets(p):
+    for gens in _seeded_generator_lists(p):
+        g = generate_closure(gens)
+        want = reflections_generate(g)
+        assert _reflections_generate(g) == want
+        assert _reflections_generate(_with_identity(g)) == want
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_groups_are_closures_of_their_generators(p):
+    # the reflection test reads the generators, so every constructor must
+    # return a group its own generators generate
+    groups = _catalog(p) + [generate_closure(gens) for gens in _seeded_generator_lists(p)]
+    rng = random.Random(30 + p)
+    groups += [g.conjugate(rng.choice(all_invertible(p))) for g in list(groups)]
+    for g in groups:
+        assert bfs_closure(list(g.generators)) == g.codes
