@@ -174,10 +174,10 @@ def _cmd_invariants(args) -> int:
     group = _parse_group(args.group, p)
     if args.max_degree < 0:
         raise UsageError("--max-degree must be nonnegative")
-    gens = stable_chain.fixing_set(group)
+    fixing = stable_chain.fixing_set(group)
     degrees = []
     for d in range(args.max_degree + 1):
-        sub = invariant_slice(p, gens, d)
+        sub = invariant_slice(fixing, d)
         degrees.append(
             {
                 "degree": d,

@@ -19,7 +19,8 @@ is generalized invariant iff every single operator sends it into
 level(d-1). level(d) contains P_1 * level(d-1), the known part the ideal
 hands the source, so the source searches only the canonical
 representatives modulo it, with one ``fp_linalg.preimage`` that reduces
-the operator images against level(d-1)'s packed rows. The tests check the
+the operator images against level(d-1)'s packed rows, building them one
+operator at a time until the kernel is zero. The tests check the
 result against the literal chain enumeration and against the same
 program run over every coordinate.
 """
@@ -127,11 +128,12 @@ def generalized_ideal(s: Sequence) -> GenInvResult:
     p = ops[0].p
     preimages: dict[int, Subspace] = {}  # read by the generator scan
 
-    def search(e: int, below: Subspace, known: Subspace) -> Subspace:
-        coords = known.complement()
+    def search(e: int, below: Subspace, shifted: Subspace) -> Subspace:
+        coords = shifted.complement()
         new = Subspace.zero(p, e + 1)
         if coords:
-            new = preimage(p, e + 1, coords, [delta_slice_rows(op, e, coords) for op in ops], below)
+            maps = (delta_slice_rows(op, e, coords) for op in ops)
+            new = preimage(p, e + 1, coords, maps, below)
         preimages[e] = new
         return new
 

@@ -37,8 +37,8 @@ Sums (``Subspace.sum`` and the y * C step of ``shift``) reduce the added
 rows on the free columns with ``_kernels.reduce_row`` and echelonize those
 reductions. The k new pivots are then cleared, in packed form, from the
 old rows that are nonzero there, and their slots removed from every
-block. Preimages, membership and the basis checks reduce with the same
-``reduce_row``; only spans call ``_kernels.rref`` on whole rows.
+block. Preimages and membership reduce with the same ``reduce_row``;
+only spans call ``_kernels.rref`` on whole rows.
 
 ``kernel`` serves the tall stacks of operator images in ``preimage``,
 whose kernel is often empty. It packs each row into one integer at the
@@ -47,7 +47,12 @@ where an entry is needed (delayed reduction). Every basis row is stored
 reduced, so a row reduced against at most ncols - 1 of them keeps each
 slot below 2**w. The rows are added one at a time and the kernel is zero
 as soon as the rank reaches ncols; otherwise the at most ncols echelon
-rows go to ``_kernels.rref``.
+rows go to ``_kernels.rref``. ``preimage`` hands ``kernel`` its rows
+lazily, one operator at a time: the images of an operator are built and
+reduced only if the operators before it left a nonzero kernel. A fixed
+subspace of a group is usually zero on the searched coordinates after
+its first non-diagonal element, and a generalized level often before its
+last operator; the maps after that are never built.
 """
 
 from __future__ import annotations
@@ -256,23 +261,23 @@ def _unpack(v: int, k: int, w: int) -> list[int]:
     return [v >> s & mask for s in range(0, k * w, w)]
 
 
-def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
+def kernel(rows: Iterable[Sequence[int]], ncols: int, p: int) -> Subspace:
     """Null space {x : M x = 0} of the matrix whose rows are given.
 
     rank(M) + dim(kernel) = ncols. The rows join an echelon basis one at a
     time, in the order given, and the kernel is zero as soon as the rank
-    reaches ncols, however many rows are left.
+    reaches ncols: the rest of ``rows``, which may be a lazy iterable, is
+    then never read.
     """
     check_prime(p)
-    for r in rows:
-        if len(r) != ncols:
-            raise ValueError("matrix rows must all have length ncols")
     w = _width(p, ncols)
     mask = (1 << w) - 1
     shifts = range(0, ncols * w, w)
     heads: list[tuple[int, int]] = []  # (pivot slot shift, packed row), in insertion order
     echelon: list[list[int]] = []
     for r in rows:
+        if len(r) != ncols:
+            raise ValueError("matrix rows must all have length ncols")
         v = _pack([x % p for x in r], w)
         for s, b in heads:
             f = (v >> s & mask) % p
@@ -303,12 +308,16 @@ def kernel(rows: Sequence[Sequence[int]], ncols: int, p: int) -> Subspace:
 
 def preimage(p: int, ncols: int, coords: Sequence[int], maps, modulo: Subspace) -> Subspace:
     """The vectors of F_p^ncols supported on ``coords`` whose image under
-    every map lies in ``modulo``; ``maps[i][k]`` is the image under map i
-    of the unit vector at ``coords[k]``. One kernel of the images' reductions
-    on the non-pivot columns of ``modulo`` gives the coefficients, embedded
-    back at coords."""
-    rows: list[list[int]] = []
-    for images in maps:
-        rows += map(list, zip(*modulo._free_parts(images)))
-    vectors = [_embed(ncols, coords, c) for c in kernel(rows, len(coords), p).rows]
+    every map lies in ``modulo``; ``maps`` yields, per map, the list whose
+    entry k is the image of the unit vector at ``coords[k]``. One kernel of
+    the images' reductions on the non-pivot columns of ``modulo`` gives the
+    coefficients, embedded back at coords. The maps are read one at a time,
+    each reduced only when the kernel still needs its rows, so a lazy
+    ``maps`` stops at the first map after which the kernel is zero."""
+
+    def rows():
+        for images in maps:
+            yield from map(list, zip(*modulo._free_parts(images)))
+
+    vectors = [_embed(ncols, coords, c) for c in kernel(rows(), len(coords), p).rows]
     return Subspace.span(p, ncols, vectors)

@@ -6,14 +6,23 @@ which has no a-priori generator degree bound, or the search of
 ``demazure.generalized_ideal``. The degree-d slice is built exactly by
 the recursion
 
-    known(d) = x*slice(d-1) + y*slice(d-1) + generators of degree d,
-    slice(d) = known(d) + source(d, slice(d-1), known(d)),
+    shifted(d) = x*slice(d-1) + y*slice(d-1),
+    slice(d) = shifted(d) + generators of degree d
+               + source(d, slice(d-1), shifted(d)),
 
 which equals the sum over e <= d of P_{d-e} times the degree-e input and
 is therefore exact at every degree. ``GradedIdeal._next_slice`` is the
 only code that builds a slice from the one below. A source may read its
 two subspace arguments or ignore them; it never calls back into its own
-ideal. Slices are ``fp_linalg.Subspace``s in codimension form: pivots,
+ideal. A source may rely on being called with one ideal's slices only:
+an ideal made by ``with_extra_generators`` does not share its parent's
+source but adds, in each degree, what that source added to the parent
+(``GradedIdeal._source_part``). J_1's source needs this, because it
+decides from P_1 * J_1(d-1), which is G-stable, whether to search at all
+(see ``stable_chain.compute_J1``); P_1 times the slice of an extension by
+a non-invariant form is not G-stable.
+
+Slices are ``fp_linalg.Subspace``s in codimension form: pivots,
 free columns and one packed int per echelon row. P_1 * slice(d-1) is
 ``Subspace.shift``. slice(d-1) contains P_1 * slice(d-2), so the shift is
 x * slice(d-1) plus y times the rows of slice(d-1) whose pivots are not
@@ -42,7 +51,9 @@ dimensions and the monomial basis checks (by reductions on the free
 columns of a slice) also live here, together with ``invariant_slice``,
 the fixed subspace of a group in P or P/I: one ``fp_linalg.preimage`` of
 I_d under the rows of ``act_minus_identity``, the question
-``generalized_ideal`` asks of its operators.
+``generalized_ideal`` asks of its operators. Its diagonal elements are
+one table of fixed exponent residues (``FixingSet``), built once per
+group and read once per searched coordinate.
 """
 
 from __future__ import annotations
@@ -50,7 +61,7 @@ from __future__ import annotations
 import os
 import threading
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, Iterable, Optional, Sequence
 
 from modinv.fp_arith import check_prime
 from modinv.fp_linalg import Subspace, kernel, preimage
@@ -86,8 +97,9 @@ class InfiniteQuotientError(RuntimeError):
 
 class GradedIdeal:
     """A homogeneous ideal with cached canonical degree slices. A slice
-    source is called as ``slice_source(e, below, known)`` and returns a
-    degree-e subspace to add to ``known`` (see the module docstring)."""
+    source is called as ``slice_source(e, below, shifted)``, with below =
+    slice(e-1) and shifted = P_1 * below, and returns a degree-e subspace
+    to add (see the module docstring)."""
 
     def __init__(
         self,
@@ -111,6 +123,9 @@ class GradedIdeal:
         self.generators = tuple(gens)
         self.slice_source = slice_source
         self._slices: list[Subspace] = [Subspace.zero(p, 1)]
+        # what the slice source added in each degree of _slices (None
+        # without a source), read by extensions (see with_extra_generators)
+        self._parts: list[Optional[Subspace]] = [None]
         self._slice_lock = threading.Lock()  # cache extension is serialized
         self._gens_by_degree: dict[int, list[Poly2]] = {}
         for g in self.generators:
@@ -118,13 +133,23 @@ class GradedIdeal:
         self._dims_cache: Optional[tuple[list[int], Optional[int]]] = None
 
     def with_extra_generators(self, extra: Sequence[Poly2]) -> "GradedIdeal":
-        """A new ideal adding generators, sharing this ideal's slice source
-        and its cached slices below the lowest new generator degree, where
-        the two ideals agree."""
-        out = GradedIdeal(self.p, list(self.generators) + list(extra), self.slice_source)
+        """A new ideal adding generators, sharing this ideal's cached slices
+        below the lowest new generator degree, where the two ideals agree.
+        Its slice source is ``_source_part``: in each degree it adds what
+        this ideal's source added there, so this ideal's source is only ever
+        called with this ideal's own slices."""
+        source = None if self.slice_source is None else self._source_part
+        out = GradedIdeal(self.p, list(self.generators) + list(extra), source)
         low = min((g.degree() for g in out.generators[len(self.generators):]), default=None)
         out._slices = self._slices[:low]
+        out._parts = self._parts[:low]
         return out
+
+    def _source_part(self, e: int, below: Subspace, shifted: Subspace) -> Subspace:
+        # the slice source of an extension: what this ideal's source added in
+        # degree e, whatever the extension's own slices are
+        self.slice(e)
+        return self._parts[e]
 
     def with_generators(self, generators: Sequence[Poly2], through: int) -> "GradedIdeal":
         """The ideal of these generators alone, which the caller knows to
@@ -132,6 +157,7 @@ class GradedIdeal:
         ideal's cached slices there."""
         out = GradedIdeal(self.p, generators)
         out._slices = self._slices[: through + 1]
+        out._parts = [None] * len(out._slices)
         return out
 
     def slice(self, d: int) -> Subspace:
@@ -142,20 +168,25 @@ class GradedIdeal:
             with self._slice_lock:
                 while len(self._slices) <= d:
                     e = len(self._slices)
-                    self._slices.append(self._next_slice(self._slices[e - 1], e))
+                    sub, part = self._next_slice(self._slices[e - 1], e)
+                    self._slices.append(sub)
+                    self._parts.append(part)
         return self._slices[d]
 
-    def _next_slice(self, prev: Subspace, e: int) -> Subspace:
-        # slice(e) from prev = slice(e-1), by the recursion of the module docstring
-        sub = prev.shift()
+    def _next_slice(self, prev: Subspace, e: int) -> tuple[Subspace, Optional[Subspace]]:
+        # slice(e) from prev = slice(e-1), by the recursion of the module
+        # docstring, and what the slice source added
+        shifted = prev.shift()
+        sub, part = shifted, None
         rows = [slice_vector(g, e) for g in self._gens_by_degree.get(e, ())]
         if rows:
             sub = sub.sum(Subspace.span(self.p, e + 1, rows))
         if self.slice_source is not None:
-            sub = sub.sum(self.slice_source(e, prev, sub))
+            part = self.slice_source(e, prev, shifted)
+            sub = sub.sum(part)
         if prev.is_full and not sub.is_full:
             raise AssertionError("saturation violated: full slice followed by proper slice")
-        return sub
+        return sub, part
 
     def _slices_through(self, d: int):
         # slice(0), ..., slice(d): the cached ones, then the rest built from
@@ -164,7 +195,7 @@ class GradedIdeal:
         yield from cached
         prev = cached[-1]
         for e in range(len(cached), d + 1):
-            prev = self._next_slice(prev, e)
+            prev = self._next_slice(prev, e)[0]
             yield prev
 
     def member(self, f: Poly2) -> bool:
@@ -263,38 +294,61 @@ def minimal_generators(ideal: GradedIdeal) -> list[Poly2]:
 # -- fixed subspaces -----------------------------------------------------------
 
 
-def invariant_slice(
-    p: int,
-    gens: Sequence[Mat2],
-    d: int,
-    modulo: Optional[GradedIdeal] = None,
-) -> Subspace:
-    """The subspace of the degree-d slice (of P, or of P/modulo) fixed by
-    every generator, with quotient vectors lifted to canonical coset
-    representatives.
+class FixingSet:
+    """Group elements as the fixed-subspace search uses them: the
+    non-diagonal ones (``moving``), whose action is searched, and one table
+    for the diagonal ones. diag(a, b) multiplies x^i y^j by a^i b^j, which
+    depends on (i, j) mod p - 1 only, so ``fixed`` holds the residue pairs
+    (i mod p - 1, j mod p - 1) of the monomials every diagonal element
+    fixes. Diagonal elements are given as matrices or as (a, b) pairs."""
 
-    Only the non-pivot coordinates of the modulo slice whose monomial
-    x^{d-k} y^k every diagonal generator diag(a, b) fixes (a^{d-k} b^k = 1)
-    are searched; reduction leaves their unit vectors alone, so this filter
-    is exact. The rest is one ``preimage`` of the modulo slice under
-    (action - 1) of the non-diagonal generators, whose
-    ``act_minus_identity`` rows are built for the searched coordinates only.
+    __slots__ = ("p", "moving", "fixed")
+
+    def __init__(self, p: int, matrices: Sequence[Mat2], diagonals: Iterable[tuple[int, int]] = ()):
+        check_prime(p)
+        for g in matrices:
+            if g.p != p:
+                raise ValueError("prime mismatch among generators")
+        self.p = p
+        self.moving = tuple(g for g in matrices if not g.is_diagonal())
+        pairs = {(g.a, g.d) for g in matrices if g.is_diagonal()} | set(diagonals)
+        m = p - 1
+        fixed = [(i, j) for i in range(m) for j in range(m)]
+        for a, b in pairs:
+            pa = [pow(a, i, p) for i in range(m)]
+            pb = [pow(b, j, p) for j in range(m)]
+            fixed = [(i, j) for i, j in fixed if pa[i] * pb[j] % p == 1]
+        self.fixed = frozenset(fixed)
+
+    def searched(self, d: int, cols: Iterable[int]) -> list[int]:
+        """The columns k of cols whose monomial x^{d-k} y^k every diagonal
+        element fixes: one table lookup each."""
+        m, fixed = self.p - 1, self.fixed
+        return [k for k in cols if ((d - k) % m, k % m) in fixed]
+
+
+def invariant_slice(fixing: FixingSet, d: int, modulo: Optional[Subspace] = None) -> Subspace:
+    """The subspace of the degree-d slice (of P, or of P/modulo for a
+    degree-d slice ``modulo``) fixed by the elements of ``fixing``, with
+    quotient vectors lifted to canonical coset representatives.
+
+    Only the non-pivot coordinates of ``modulo`` whose monomial every
+    diagonal element fixes are searched (``FixingSet.searched``); a
+    diagonal element scales each unit vector, and reduction leaves the unit
+    vectors of non-pivot coordinates alone, so this filter is exact. The
+    rest is one ``preimage`` of ``modulo`` under (action - 1) of the
+    non-diagonal elements, whose ``act_minus_identity`` rows are built for
+    the searched coordinates only and one element at a time, as the
+    preimage asks for them.
     """
-    check_prime(p)
-    for g in gens:
-        if g.p != p:
-            raise ValueError("prime mismatch among generators")
-    n = d + 1
-    if modulo is not None and modulo.p != p:
-        raise ValueError("prime mismatch with the quotient ideal")
-    sl = Subspace.zero(p, n) if modulo is None else modulo.slice(d)
-    coords = sl.complement()
-    for g in gens:
-        if g.is_diagonal():
-            coords = [k for k in coords if pow(g.a, d - k, p) * pow(g.d, k, p) % p == 1]
+    p, n = fixing.p, d + 1
+    sl = Subspace.zero(p, n) if modulo is None else modulo
+    if sl.p != p or sl.ncols != n:
+        raise ValueError(f"modulo must be a degree-{d} slice over F_{p}")
+    coords = fixing.searched(d, sl.free)
     if not coords:
         return Subspace.zero(p, n)
-    maps = [act_minus_identity(p, g.entries, d, coords) for g in gens if not g.is_diagonal()]
+    maps = (act_minus_identity(p, g.entries, d, coords) for g in fixing.moving)
     return preimage(p, n, coords, maps, sl)
 
 
@@ -363,7 +417,9 @@ def basis_check(family: MonomialFamily, ideal: GradedIdeal):
     expected group order (or family size). Once the counts match there is
     one member of degree d per free column of I_d, and the members are
     independent modulo I_d iff that square block of their reductions has a
-    zero kernel."""
+    zero kernel. A member x^{d-j} y^j with j a free column reduces to its
+    own unit vector, so when the members' y-exponents are exactly the free
+    columns the block is the identity and no kernel is computed."""
     from modinv.report import Check, timed_report
 
     p = family.p
@@ -388,6 +444,8 @@ def basis_check(family: MonomialFamily, ideal: GradedIdeal):
                 counts_ok = False
                 break
             sl = ideal.slice(d)
+            if sorted(j for _, j in members) == list(sl.free):
+                continue
             units = [[int(k == j) for k in range(d + 1)] for (_, j) in members]
             if not kernel(sl._free_parts(units), sl.ncols - sl.dim, p).is_zero:
                 independent_ok = False

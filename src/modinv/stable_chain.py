@@ -5,7 +5,9 @@ ideal adds canonical lifts of the positive-degree invariant classes of the
 previous quotient. The chain is computed slice-exactly (no generator
 degree bound is ever assumed) and stabilization is declared on the first
 step that finds no new invariant class, which is exact: the next quotient
-then equals the current one.
+then equals the current one. Every ideal of the chain is G-stable, and
+J_1 searches for invariants only in the degrees where P_1 times its slice
+below leaves a G-fixed class (``compute_J1``).
 """
 
 from __future__ import annotations
@@ -13,14 +15,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from modinv.fp_arith import check_prime
+from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
+    FixingSet,
     GradedIdeal,
     basis_check,
     ideal_equal,
     invariant_slice,
     theta_family,
 )
-from modinv.grp2 import Mat2, MatrixGroup, catalog_group
+from modinv.grp2 import MatrixGroup, catalog_group
 from modinv.poly2 import Poly2, d1, delta, gamma, poly_from_slice
 
 
@@ -47,30 +51,39 @@ class StableChainResult:
         return self.ideals[-1]
 
 
-def fixing_set(group: MatrixGroup) -> list[Mat2]:
-    """The generators and the diagonal elements of the group. They fix the
-    same polynomials as the generators alone, and the fixed-subspace search
-    turns each diagonal one into a monomial filter ahead of its kernel.
-    The code ((a*p + b)*p + c)*p + d has b = c = 0 iff it is below p mod
-    p^3, so only the diagonal codes are decoded, in code order."""
+def fixing_set(group: MatrixGroup) -> FixingSet:
+    """The generators and the diagonal elements of the group, as one
+    ``FixingSet``: they fix the same polynomials as the generators alone,
+    and the diagonal ones become one table of fixed exponent residues,
+    built once per call. The code ((a*p + b)*p + c)*p + d has b = c = 0
+    iff it is below p mod p^3, so only the diagonal codes are decoded."""
     p = group.p
     ppp = p * p * p
-    diagonal = sorted(code for code in group.codes if code % ppp < p)
-    return list(group.generators) + [Mat2(p, code // ppp, 0, 0, code % p) for code in diagonal]
+    diagonals = [(code // ppp, code % p) for code in group.codes if code % ppp < p]
+    return FixingSet(p, group.generators, diagonals)
 
 
 def compute_J1(group: MatrixGroup) -> GradedIdeal:
     """The ideal generated by the positive-degree invariants of the group,
-    represented through its exact degree slices."""
-    p = group.p
-    gens = fixing_set(group)
-    cache: dict[int, object] = {}
+    represented through its exact degree slices.
 
-    def source(e: int, below, known):
-        # the degree-e invariants: they do not depend on the slice below
-        if e not in cache:
-            cache[e] = invariant_slice(p, gens, e)
-        return cache[e]
+    The slice source searches for invariants only in the degrees e where
+    one can be new. J_1 is generated by invariants, so J_1(e-1) and W =
+    P_1 * J_1(e-1), the ``shifted`` argument, are G-stable, and an
+    invariant f outside W has a nonzero G-fixed class f + W in P_e/W:
+    g f - f = 0 for every g. The source first asks for the fixed classes
+    of P_e/W, one ``invariant_slice`` over W's free columns; only if there
+    are some does it run the full search of the invariants of P_e. The
+    source is called with J_1's own slices only: an extension
+    (``with_extra_generators``, as in ``next_ideal``) adds what it added,
+    degree by degree, and does not call it."""
+    p = group.p
+    fixing = fixing_set(group)
+
+    def source(e: int, below: Subspace, shifted: Subspace) -> Subspace:
+        if invariant_slice(fixing, e, shifted).is_zero:
+            return Subspace.zero(p, e + 1)
+        return invariant_slice(fixing, e)
 
     return GradedIdeal(p, [], slice_source=source)
 
@@ -84,10 +97,10 @@ def next_ideal(ideal: GradedIdeal, group: MatrixGroup) -> tuple[GradedIdeal, lis
     """
     p = ideal.p
     top = ideal.top_degree()
-    gens = fixing_set(group)
+    fixing = fixing_set(group)
     new: list[Poly2] = []
     for d in range(1, top + 1):
-        fixed = invariant_slice(p, gens, d, modulo=ideal)
+        fixed = invariant_slice(fixing, d, ideal.slice(d))
         for v in fixed.rows:
             new.append(poly_from_slice(p, d, v))
     if not new:

@@ -15,7 +15,8 @@ generator membership, the shift and sum of subspaces by one dense RREF of
 all their rows, the kernel by one RREF of every row, the preimage through
 full reductions, the reduction of a whole row by whole-row subtraction,
 the reduction on the free columns with list rows instead of packed ones,
-the basis check by one span per degree, generalized invariance by
+the basis check by one span per degree and by one kernel per degree,
+J_1 by a full invariant search in every degree, generalized invariance by
 enumerating every operator chain), kept as references
 to compare with.
 """
@@ -31,10 +32,17 @@ from typing import Optional, Sequence
 from modinv import _kernels
 from modinv.demazure import chain
 from modinv.fp_arith import check_prime
-from modinv.fp_linalg import Subspace
-from modinv.graded_ideal import GradedIdeal, MonomialFamily, degree_generators, minimal_generators
+from modinv.fp_linalg import Subspace, kernel
+from modinv.graded_ideal import (
+    GradedIdeal,
+    MonomialFamily,
+    degree_generators,
+    invariant_slice,
+    minimal_generators,
+)
 from modinv.grp2 import Mat2
 from modinv.poly2 import Poly2, divide_slice_by_form
+from modinv.stable_chain import fixing_set
 
 
 def zpoly(terms=None):
@@ -349,11 +357,11 @@ def iterated_invariant_slice(
     p: int,
     gens: Sequence[Mat2],
     d: int,
-    modulo: Optional[GradedIdeal] = None,
+    modulo: Optional[Subspace] = None,
 ) -> Subspace:
-    """The subspace of the degree-d slice (of P, or of P/modulo) fixed by
-    every generator, with quotient vectors lifted to canonical coset
-    representatives.
+    """The subspace of the degree-d slice (of P, or of P/modulo for a
+    degree-d slice ``modulo``) fixed by every generator, with quotient
+    vectors lifted to canonical coset representatives.
 
     Computed as the iterated kernel of (action - 1) restricted to the
     running fixed space; diagonal generators are processed first since
@@ -364,11 +372,10 @@ def iterated_invariant_slice(
         if g.p != p:
             raise ValueError("prime mismatch among generators")
     n = d + 1
-    sl = None
-    if modulo is not None:
-        if modulo.p != p:
-            raise ValueError("prime mismatch with the quotient ideal")
-        sl = modulo.slice(d)
+    sl = modulo
+    if sl is not None:
+        if sl.p != p:
+            raise ValueError("prime mismatch with the quotient slice")
         if sl.is_full:
             return Subspace.zero(p, n)
         basis = [[1 if k == c else 0 for k in range(n)] for c in sl.complement()]
@@ -551,6 +558,40 @@ def span_basis_verdicts(family: MonomialFamily, ideal: GradedIdeal) -> tuple[boo
         if Subspace.span(p, d + 1, rows).dim != sl.dim + len(members):
             return True, False
     return True, True
+
+
+def kernel_basis_verdicts(family: MonomialFamily, ideal: GradedIdeal) -> tuple[bool, bool]:
+    """basis_check's per_degree_counts_match and images_independent_mod_ideal
+    verdicts, each degree's independence tested by one kernel of the
+    members' reductions on the free columns of the slice, whatever columns
+    the members sit on."""
+    p = family.p
+    dims = ideal.quotient_dims()[0]
+    by_deg = family.by_degree()
+    for d in range(ideal.top_degree() + 1):
+        members = by_deg.get(d, [])
+        if len(members) != dims[d]:
+            return False, True
+        sl = ideal.slice(d)
+        units = [[int(k == j) for k in range(d + 1)] for (_, j) in members]
+        if not kernel(sl._free_parts(units), sl.ncols - sl.dim, p).is_zero:
+            return True, False
+    return True, True
+
+
+def full_search_J1(group, extra: Sequence[Poly2] = ()) -> GradedIdeal:
+    """J_1 of the group plus the ideal of ``extra``, with the invariants of
+    every degree searched in full: the slice source adds all degree-e
+    invariants, whatever the slices below hold."""
+    fixing = fixing_set(group)
+    cache: dict[int, Subspace] = {}
+
+    def source(e, below, shifted):
+        if e not in cache:
+            cache[e] = invariant_slice(fixing, e)
+        return cache[e]
+
+    return GradedIdeal(group.p, list(extra), slice_source=source)
 
 
 class BudgetExceededError(RuntimeError):

@@ -6,16 +6,18 @@ runtime budgets are asserted where the criterion fixes one.
 
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 from pathlib import Path
 
-from modinv import poly2
+from modinv import cli, poly2
 from modinv.demazure import generalized_ideal, verify_operadorsD
 from modinv.fp_arith import binomial_sum_check, divisors, primitive_root
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
+    FixingSet,
     GradedIdeal,
     basis_check,
     complete_intersection_dims,
@@ -107,7 +109,7 @@ def test_criterion_03_new_invariant_classes():
                     Poly2.monomial(p, 1, p - 1, p * p - p)
                 )
             for d in range(1, top + 1):
-                got = invariant_slice(p, list(group.generators), d, modulo=j1)
+                got = invariant_slice(FixingSet(p, group.generators), d, j1.slice(d))
                 rows = [j1.slice(d).reduce(slice_vector(f, d)) for f in expected.get(d, [])]
                 assert got == Subspace.span(p, d + 1, rows)
     _announce(3, "calculinvest", started)
@@ -388,3 +390,16 @@ def test_criterion_16_generalized_invariants_at_p11_memory():
     growth_mb = (at_end - after_import) / 1024
     assert growth_mb <= 10.0, f"peak RSS grew by {growth_mb:.1f} MB past the import"
     _announce(16, "genL/genU at p = 11 memory", started)
+
+
+def test_criterion_17_verify_all_at_p11(capsys):
+    # `modinv verify --prime 11 --theorem all --format json` gives the
+    # golden output, elapsed_ms zeroed, within a 30 s floor
+    started = time.perf_counter()
+    argv = ["verify", "--prime", "11", "--theorem", "all", "--format", "json"]
+    assert cli.cli_main(argv) == 0
+    out = re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": 0.0', capsys.readouterr().out)
+    assert out == (Path(__file__).parent / "golden" / "verify_p11_all.json").read_text()
+    elapsed = time.perf_counter() - started
+    assert elapsed < 30.0, f"budget 30s exceeded: {elapsed:.2f}s"
+    _announce(17, "verify --prime 11", started)

@@ -67,7 +67,9 @@ def test_catalog_slices_and_levels_match_dense_oracles(monkeypatch, p):
         seen["shift"] += 1
         return got
 
-    def checked_preimage(*args):
+    def checked_preimage(p, ncols, coords, maps, modulo):
+        # maps may be lazy: read it once, for both
+        args = (p, ncols, coords, list(maps), modulo)
         got = real_preimage(*args)
         assert got == full_reduce_preimage(*args)
         seen["preimage"] += 1

@@ -268,7 +268,7 @@ def test_generators_are_the_minimal_generators_of_the_ideal(p):
         res = generalized_ideal(refl)
         d1, d2 = res.generator_degrees[:2]
         levels, _ = full_preimage_levels(refl, d1 + d2)
-        oracle = GradedIdeal(p, [], slice_source=lambda e, below, known: levels[e])
+        oracle = GradedIdeal(p, [], slice_source=lambda e, below, shifted: levels[e])
         expected = [(g.degree(), g) for g in minimal_generators(oracle)]
         assert res.generators == expected
 

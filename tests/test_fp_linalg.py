@@ -203,6 +203,8 @@ def _check_preimage(rng, p, trials):
         for modulo in _subspace_family(rng, p, m):
             got = preimage(p, n, coords, maps, modulo)
             assert got == full_reduce_preimage(p, n, coords, maps, modulo)
+            # the same maps handed over lazily, one at a time
+            assert preimage(p, n, coords, (images for images in maps), modulo) == got
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -213,6 +215,37 @@ def test_preimage_matches_full_reduction_oracle(p):
 @pytest.mark.parametrize("p", BIG_PRIMES)
 def test_preimage_matches_full_reduction_oracle_at_large_primes(p):
     _check_preimage(random.Random(p % 997), p, 8)
+
+
+def test_preimage_builds_no_map_after_the_kernel_is_zero():
+    # the first map is injective on the coordinates modulo the target, so
+    # the kernel is zero after its rows and the second map is never built
+    p, n = 5, 4
+    coords = [0, 2]
+    modulo = Subspace.span(p, 3, [[0, 0, 1]])
+    built = []
+
+    def maps():
+        built.append(0)
+        yield [[1, 0, 3], [0, 1, 4]]
+        built.append(1)
+        yield [[0, 0, 0], [0, 0, 0]]
+
+    assert preimage(p, n, coords, maps(), modulo).is_zero
+    assert built == [0]
+    # with a nonzero kernel after the first map the second one is read
+    built.clear()
+    assert preimage(p, n, coords, maps(), Subspace.span(p, 3, [[0, 1, 0], [0, 0, 1]])).dim == 1
+    assert built == [0, 1]
+
+
+def test_kernel_reads_no_row_past_full_rank():
+    def rows():
+        yield [1, 0]
+        yield [0, 1]
+        raise AssertionError("row read after the rank reached ncols")
+
+    assert kernel(rows(), 2, 3).is_zero
 
 
 def _reduce_vectors(rng, p, sub):

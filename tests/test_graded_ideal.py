@@ -8,6 +8,7 @@ from modinv import graded_ideal, poly2, stable_chain as chain_module, verify
 from modinv.fp_arith import divisors
 from modinv.fp_linalg import Subspace
 from modinv.graded_ideal import (
+    FixingSet,
     GradedIdeal,
     MonomialFamily,
     basis_check,
@@ -23,7 +24,13 @@ from modinv.graded_ideal import (
 from modinv.grp2 import Mat2, catalog_group, omega_prime
 from modinv.poly2 import Poly2, slice_vector
 from modinv.stable_chain import compute_J1, stable_chain
-from oracles import generator_ideal_equal, iterated_invariant_slice, parse_poly, span_basis_verdicts
+from oracles import (
+    generator_ideal_equal,
+    iterated_invariant_slice,
+    kernel_basis_verdicts,
+    parse_poly,
+    span_basis_verdicts,
+)
 
 
 def ideal(p, *texts):
@@ -148,18 +155,18 @@ def test_saturation_asserted_and_monotone():
 
 def test_invariant_slice_examples():
     p = 3
-    assert invariant_slice(p, [omega_prime(p)], 1).rows == ((1, 0),)  # span{x}
+    assert invariant_slice(FixingSet(p, [omega_prime(p)]), 1).rows == ((1, 0),)  # span{x}
     l1 = catalog_group("L", p, 1)
-    s = invariant_slice(p, list(l1.generators), 4)
+    s = invariant_slice(FixingSet(p, l1.generators), 4)
     assert s.dim == 1
     assert s.contains(slice_vector(poly2.delta(p), 4))
-    assert invariant_slice(p, list(l1.generators), 0).is_full
+    assert invariant_slice(FixingSet(p, l1.generators), 0).is_full
 
 
 def test_invariant_slice_in_quotient():
     p = 3
     j1 = compute_J1(catalog_group("L", p, 1))
-    fixed4 = invariant_slice(p, list(catalog_group("L", p, 1).generators), 4, modulo=j1)
+    fixed4 = invariant_slice(FixingSet(p, catalog_group("L", p, 1).generators), 4, j1.slice(4))
     assert fixed4.dim == 1
     # the canonical representative of the gamma_2 class
     assert fixed4.contains(j1.slice(4).reduce(slice_vector(poly2.gamma(p, 2), 4)))
@@ -190,8 +197,8 @@ def test_invariant_slice_matches_iterated_oracle(p):
             gens = list(group.generators)
             ideals = stable_chain(group).ideals[:2]
             for d in range(ideals[0].top_degree() + 2):
-                for modulo in [None] + ideals:
-                    assert invariant_slice(p, gens, d, modulo) == iterated_invariant_slice(
+                for modulo in [None] + [ideal.slice(d) for ideal in ideals]:
+                    assert invariant_slice(FixingSet(p, gens), d, modulo) == iterated_invariant_slice(
                         p, gens, d, modulo
                     )
     # random diagonal and non-diagonal matrices, mostly not reflections, in
@@ -201,8 +208,8 @@ def test_invariant_slice_matches_iterated_oracle(p):
         gens = [_random_invertible(rng, p, rng.random() < 0.5) for _ in range(rng.randrange(1, 4))]
         modulo = GradedIdeal(p, [_random_form(rng, p, rng.randrange(1, 5)) for _ in range(2)])
         for d in range(9):
-            for m in (None, modulo):
-                assert invariant_slice(p, gens, d, m) == iterated_invariant_slice(p, gens, d, m)
+            for m in (None, modulo.slice(d)):
+                assert invariant_slice(FixingSet(p, gens), d, m) == iterated_invariant_slice(p, gens, d, m)
 
 
 def test_j1_slices_match_direct_product_span():
@@ -214,7 +221,7 @@ def test_j1_slices_match_direct_product_span():
         for d in range(0, top + 2):
             rows = []
             for e in range(1, d + 1):
-                inv = invariant_slice(p, list(group.generators), e)
+                inv = invariant_slice(FixingSet(p, group.generators), e)
                 for v in inv.rows:
                     for a in range(d - e + 1):
                         b = d - e - a
@@ -296,8 +303,8 @@ def _family_like(family, monomials):
     return MonomialFamily(family.name, family.p, tuple(monomials), family.expected_total)
 
 
-@pytest.mark.parametrize("p", [2, 3, 5, 7])
-def test_basis_check_matches_span_oracle(p):
+def _catalog_family_cases(p):
+    # every catalog family with the ideal it is a basis modulo
     cases = []
     for r in divisors(p - 1):
         cases.append((omega_family(p, r), compute_J1(catalog_group("L", p, r))))
@@ -306,7 +313,12 @@ def test_basis_check_matches_span_oracle(p):
     if p > 2:
         reduced = [poly2.d1(p), poly2.delta(p), poly2.gamma(p, 2), Poly2.monomial(p, 1, p - 1, 2 * p - 2)]
         cases.append((theta_family(p), GradedIdeal(p, reduced)))
-    for family, target in cases:
+    return cases
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_basis_check_matches_span_oracle(p):
+    for family, target in _catalog_family_cases(p):
         assert _verdicts(family, target) == span_basis_verdicts(family, target) == (True, True)
         dependent = _made_dependent(family, target)
         assert dependent
@@ -322,6 +334,54 @@ def test_basis_check_matches_span_oracle(p):
     powers = MonomialFamily("x powers", p, ((0, 0), (1, 0), (2, 0)), 3)
     shear = ideal(p, "x + y", "y^3")
     assert _verdicts(powers, shear) == span_basis_verdicts(powers, shear) == (True, True)
+
+
+def _mutants(family, target):
+    """Pairs (mutated family, the verdicts it must get, or None where either
+    is possible): the family with one member dropped, with one member in
+    place of another of the same degree, and with one member moved onto a
+    pivot column of its slice, each where the family allows it."""
+    mono = list(family.monomials)
+    by_deg = family.by_degree()
+    out = [(mono[1:], (False, True))]
+    dup = next((ms for _, ms in sorted(by_deg.items()) if len(ms) > 1), None)
+    if dup:
+        out.append(([dup[0] if m == dup[1] else m for m in mono], (True, False)))
+    for d, ms in sorted(by_deg.items()):
+        pivots = target.slice(d).pivots
+        if pivots:
+            out.append(([(d - pivots[0], pivots[0]) if m == ms[0] else m for m in mono], None))
+            break
+    return [(_family_like(family, m), want) for m, want in out]
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_basis_check_matches_the_kernel_oracle(p):
+    moved = 0
+    for family, target in _catalog_family_cases(p):
+        assert _verdicts(family, target) == kernel_basis_verdicts(family, target) == (True, True)
+        for bad, want in _mutants(family, target):
+            got = _verdicts(bad, target)
+            assert got == kernel_basis_verdicts(bad, target)
+            assert got == want or want is None
+            moved += want is None
+    assert moved
+    # members on pivot columns, independent only through their reductions
+    powers = MonomialFamily("x powers", p, ((0, 0), (1, 0), (2, 0)), 3)
+    shear = ideal(p, "x + y", "y^3")
+    assert _verdicts(powers, shear) == kernel_basis_verdicts(powers, shear) == (True, True)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_catalog_families_sit_on_free_columns(monkeypatch, p):
+    # every member of a catalog family is a free column of its slice, so
+    # basis_check decides independence without a kernel
+    def no_kernel(*args):
+        raise AssertionError("kernel computed")
+
+    monkeypatch.setattr(graded_ideal, "kernel", no_kernel)
+    for family, target in _catalog_family_cases(p):
+        assert basis_check(family, target).status == "pass"
 
 
 def test_theta_family_size():
@@ -397,10 +457,10 @@ def test_invariant_ring_hilbert_structure(p):
         e1, e2 = p * p - p, r * (p + 1)
         for d in range(0, 2 * e1 + 1, max(1, (p - 1) // 2)):
             expected = sum(1 for a in range(d // e1 + 1) if (d - a * e1) % e2 == 0)
-            assert invariant_slice(p, list(group.generators), d).dim == expected
+            assert invariant_slice(FixingSet(p, group.generators), d).dim == expected
         for s in divisors(p - 1):
             groupu = catalog_group("U", p, r, s)
             e1u, e2u = r, s * p
             for d in range(0, 2 * e2u + 1):
                 expected = sum(1 for a in range(d // e1u + 1) if (d - a * e1u) % e2u == 0)
-                assert invariant_slice(p, list(groupu.generators), d).dim == expected
+                assert invariant_slice(FixingSet(p, groupu.generators), d).dim == expected

@@ -1,22 +1,26 @@
 """The invariant ideal chain: first ideal, steps, stabilization."""
 
+import random
+
 import pytest
 
 from modinv import _kernels, poly2
+from modinv import stable_chain as stable_chain_module
 from modinv.fp_arith import divisors
 from modinv.fp_linalg import Subspace
-from modinv.graded_ideal import GradedIdeal, InfiniteQuotientError, ideal_equal
-from modinv.grp2 import Mat2, catalog_group, generate_closure
+from modinv.graded_ideal import GradedIdeal, InfiniteQuotientError, ideal_equal, invariant_slice
+from modinv.grp2 import Mat2, all_reflections, catalog_group, generate_closure
 from modinv.poly2 import Poly2, slice_vector
 from modinv.stable_chain import (
     MaxIterationsError,
     StableChainResult,
     compute_J1,
+    fixing_set,
     next_ideal,
     stable_chain,
     verify_basedos,
 )
-from oracles import contains_all, parse_poly
+from oracles import contains_all, dense_shift, full_search_J1, iterated_invariant_slice, parse_poly
 
 
 def ideal(p, *texts):
@@ -235,3 +239,109 @@ def test_shift_reduces_only_the_rows_new_since_the_slice_below(monkeypatch):
     expected = {d: 1 + (codim[d - 1] if d else 0) - codim[d] for d in range(top + 1)}
     assert handed == expected
     assert sum(expected.values()) == j1.slice(top).dim < sum(d + 1 - c for d, c in enumerate(codim))
+
+
+def _catalog(p):
+    out = [catalog_group("L", p, r) for r in divisors(p - 1)]
+    return out + [catalog_group("U", p, r, s) for r in divisors(p - 1) for s in divisors(p - 1)]
+
+
+def _non_invariant_form(group):
+    # the first of x + y, y, x that the group moves
+    p = group.p
+    invariants = invariant_slice(fixing_set(group), 1)
+    return next(
+        (f for f in (parse_poly(t, p) for t in ("x + y", "y", "x")) if not invariants.contains(slice_vector(f, 1))),
+        None,
+    )
+
+
+def _matches(ideal, oracle):
+    # equal slices through a degree in which the oracle is generated: the
+    # ideals are then equal (the slice above is full in both)
+    return all(ideal.slice(d) == oracle.slice(d) for d in range(oracle.top_degree() + 2))
+
+
+def _check_against_full_search(group):
+    assert _matches(compute_J1(group), full_search_J1(group))
+    chain = stable_chain(group)
+    if len(chain.ideals) > 1:
+        assert _matches(chain.ideals[1], full_search_J1(group, chain.new_invariants[0]))
+    h = _non_invariant_form(group)
+    if h is not None:
+        assert _matches(compute_J1(group).with_extra_generators([h]), full_search_J1(group, [h]))
+    return h is not None
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_j1_matches_the_full_search_oracle(p):
+    # J_1, the J_2 of the chain and J_1 plus a form the group moves, for
+    # the catalog groups and seeded reflection closures
+    assert all(_check_against_full_search(group) for group in _catalog(p))
+    if p > 2:
+        rng = random.Random(60 + p)
+        refs = all_reflections(p)
+        for _ in range(4):
+            _check_against_full_search(generate_closure(rng.sample(refs, rng.randrange(1, 3))))
+
+
+def test_j1_matches_the_full_search_oracle_at_p11():
+    assert _check_against_full_search(catalog_group("L", 11, 1))
+
+
+def test_j1_searches_in_full_only_where_a_fixed_class_exists(monkeypatch):
+    # the J_1 source runs one quotient test per degree and the full search
+    # only where P_e / (P_1 * J_1(e-1)) has a fixed class, as the iterated
+    # kernel oracle finds them on the dense shift of the oracle's slices
+    p = 7
+    group = catalog_group("L", p, 1)
+    calls = []
+    real = stable_chain_module.invariant_slice
+
+    def recording(fixing, d, modulo=None):
+        got = real(fixing, d, modulo)
+        calls.append((d, modulo is None, got.is_zero))
+        return got
+
+    monkeypatch.setattr(stable_chain_module, "invariant_slice", recording)
+    j1 = compute_J1(group)
+    top = j1.top_degree()
+    j1.slice(top + 1)
+    monkeypatch.undo()
+    tested = {d: zero for d, full, zero in calls if not full}
+    searched = [d for d, full, _ in calls if full]
+    assert sorted(tested) == list(range(1, top + 2))
+    assert searched == [d for d in sorted(tested) if not tested[d]]
+    oracle = full_search_J1(group)
+    gens = list(group.generators)
+    expected = [
+        e
+        for e in range(1, top + 2)
+        if not iterated_invariant_slice(p, gens, e, dense_shift(oracle.slice(e - 1))).is_zero
+    ]
+    assert searched == expected
+    assert 8 in searched and 42 in searched  # the invariant generator degrees p + 1, p^2 - p
+    assert len(searched) < (top + 1) // 4
+
+
+def test_an_extension_does_not_call_the_j1_source_with_its_own_slices(monkeypatch):
+    # mutant: an extension shares the raw J_1 source, which then tests for
+    # fixed classes modulo P_1 * (J_1 + (x + y))(e-1). That is not G-stable,
+    # so the source skips a degree where J_1 has a new invariant, and the
+    # comparison with the full search fails
+    p = 3
+    group = catalog_group("L", p, 1)
+    h = parse_poly("x + y", p)
+    assert _non_invariant_form(group) == h
+    oracle = full_search_J1(group, [h])
+    assert _matches(compute_J1(group).with_extra_generators([h]), oracle)
+
+    def sharing(self, extra):
+        out = GradedIdeal(self.p, list(self.generators) + list(extra), self.slice_source)
+        out._slices, out._parts = self._slices[:1], self._parts[:1]
+        return out
+
+    monkeypatch.setattr(GradedIdeal, "with_extra_generators", sharing)
+    assert not _matches(compute_J1(group).with_extra_generators([h]), oracle)
+    with pytest.raises(AssertionError):
+        _check_against_full_search(group)

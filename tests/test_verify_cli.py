@@ -266,10 +266,10 @@ def test_mutation_formules_wrong_leading_term(monkeypatch):
 def test_mutation_stableU(monkeypatch):
     original = stable_chain.invariant_slice
 
-    def starved(p, gens, d, modulo=None):
+    def starved(fixing, d, modulo=None):
         if modulo is None and d == 1:
-            return Subspace.zero(p, d + 1)
-        return original(p, gens, d, modulo)
+            return Subspace.zero(fixing.p, d + 1)
+        return original(fixing, d, modulo)
 
     monkeypatch.setattr(stable_chain, "invariant_slice", starved)
     (rep,) = run_verification([3], ["stableU"])
