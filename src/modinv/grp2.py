@@ -18,15 +18,21 @@ its reflections: only coset representatives are tested for membership.
 
 Classification is constructive, by Dickson's theorem (L. E. Dickson,
 Linear Groups, 1901). A subgroup of order divisible by p contains
-transvections; read the lines they fix (column vectors). With two or more
-lines the group contains SL_2(F_p), so it is normal in GL_2(F_p) and is
-conjugate to L(r) only when it equals L(r). With exactly one line it lies
-in that line's stabilizer, and any matrix whose first column spans the
-line moves it onto the upper triangular form of U(r, s). The witness is
-the lexicographically first conjugator in entry order, as a search of
-all of GL_2(F_p) would find it: (0,1;1,0) for L(r), (1,0;v,1) for the
-line of (1, v) and (0,1;1,0) for the line of (0, 1). Each witness is
-checked element by element before it is returned.
+transvections; read the lines they fix (column vectors), from the
+generators first. Transvections fixing two distinct lines generate
+SL_2(F_p), so a group with two lines has order divisible by
+|SL_2(F_p)| = p(p^2 - 1), and a group with one line lies in that line's
+stabilizer, of order p(p - 1)^2, which p(p^2 - 1) never divides: the
+order alone says how many lines to look for. A group containing SL_2(F_p)
+is det^-1(D) for the subgroup D of F_p^* of order |G| / p(p^2 - 1), so it
+is L(r) itself with r = |D|, normal in GL_2(F_p). With exactly one line,
+any matrix whose first column spans the line moves the group onto the
+upper triangular form of U(r, s). The witness is the lexicographically
+first conjugator in entry order, as a search of all of GL_2(F_p) would
+find it: (0,1;1,0) for L(r), (1,0;v,1) for the line of (1, v) and
+(0,1;1,0) for the line of (0, 1). A U witness t is checked on the
+generators: t^-1 m t lies in the catalog group for every generator m, so
+t^-1 G t lies in it, and the orders are equal.
 """
 
 from __future__ import annotations
@@ -192,39 +198,41 @@ def _identity_code(p: int) -> int:
     return p * p * p + 1
 
 
+def _code(m: Mat2) -> int:
+    p = m.p
+    return ((m.a * p + m.b) * p + m.c) * p + m.d
+
+
 def _is_reflection_entries(p: int, a: int, b: int, c: int, d: int) -> bool:
     # m - 1 has rank 1: m is not the identity and det(m - 1) = 1 - tr + det = 0
     return (a, b, c, d) != (1, 0, 0, 1) and (1 - a - d + a * d - b * c) % p == 0
 
 
-def _conjugate_codes(p: int, codes, ti: Mat2, t: Mat2):
-    """The codes of ti * m * t, one per code m, as an iterator."""
-    ia, ib, ic, id_ = ti.entries
-    ta, tb, tc, td = t.entries
-    for code in codes:
-        a, b, c, d = _entries(p, code)
-        e, f, g, h = a * ta + b * tc, a * tb + b * td, c * ta + d * tc, c * tb + d * td
-        yield (
-            ((ia * e + ib * g) % p * p + (ia * f + ib * h) % p) * p + (ic * e + id_ * g) % p
-        ) * p + (ic * f + id_ * h) % p
+def _conjugate_codes(p: int, codes, ti: Mat2, t: Mat2) -> list[int]:
+    """The codes of ti * m * t, one per code m. Row i of the product is
+    ti[i][0] (row 0 of m) t + ti[i][1] (row 1 of m) t; each term is read
+    from a table over the p^2 row codes, packed in base 2p so that the two
+    terms add without a carry, and a table over the sums reduces mod p."""
+    pp, w = p * p, 2 * p
+    rows = _row_map(p, t.entries)
+
+    def scaled(k: int) -> list[int]:
+        # row code x*p + y -> k (x, y) t, packed in base 2p
+        return [k * (r // p) % p * w + k * r % p for r in rows]
+
+    a0, b0, a1, b1 = (scaled(k) for k in ti.entries)
+    low = [u % p * p + v % p for u in range(w) for v in range(w)]
+    high = [c * pp for c in low]
+    halves = map(divmod, codes, itertools.repeat(pp))
+    return [high[a0[hi] + b0[lo]] + low[a1[hi] + b1[lo]] for hi, lo in halves]
 
 
-class _RowMap(dict):
-    """Row code x*p + y -> row code of the row vector (x, y) times a fixed
-    matrix, filled on first use. The code of m * g is then
+def _row_map(p: int, g: tuple[int, int, int, int]) -> list[int]:
+    """Entry x*p + y is the row code of the row vector (x, y) times g, for
+    all p^2 rows. The code of m * g is then
     rows[m // p^2] * p^2 + rows[m % p^2]."""
-
-    __slots__ = ("p", "g")
-
-    def __init__(self, p: int, g: tuple[int, int, int, int]):
-        self.p, self.g = p, g
-
-    def __missing__(self, row: int) -> int:
-        p = self.p
-        a, b, c, d = self.g
-        x, y = divmod(row, p)
-        out = self[row] = (x * a + y * c) % p * p + (x * b + y * d) % p
-        return out
+    a, b, c, d = g
+    return [(x * a + y * c) % p * p + (x * b + y * d) % p for x in range(p) for y in range(p)]
 
 
 def _adjoin(p: int, elems: list, seen: set, maps: list, g: tuple[int, int, int, int]) -> None:
@@ -237,7 +245,7 @@ def _adjoin(p: int, elems: list, seen: set, maps: list, g: tuple[int, int, int, 
     new for a map s, the block of r mapped by s is the new coset H r s.
     Cosets are disjoint, so only representatives are tested."""
     pp = p * p
-    maps.append(_RowMap(p, g))
+    maps.append(_row_map(p, g))
     n, start = len(elems), 0
     while start < len(elems):
         hi, lo = divmod(elems[start], pp)
@@ -403,20 +411,28 @@ def all_invertible(p: int) -> tuple[Mat2, ...]:
     return tuple(Mat2(p, *e) for e in quads if (e[0] * e[3] - e[1] * e[2]) % p)
 
 
-def _transvection_lines(g: MatrixGroup) -> set[tuple[int, int]]:
+def _transvection_lines(g: MatrixGroup) -> list[tuple[int, int]]:
     """The lines fixed by the group's transvections, each as its spanning
-    column vector (1, v) or (0, 1); the scan stops at two lines."""
+    column vector (1, v) or (0, 1), read from the generators and then from
+    the codes. There are none when p does not divide |G|; the scan stops
+    at one line when p(p^2 - 1) does not divide |G| and at two otherwise
+    (see the module docstring)."""
     p = g.p
-    lines: set[tuple[int, int]] = set()
-    for code in g.codes:
-        a, b, c, d = _entries(p, code)
+    if g.order % p:
+        return []
+    want = 1 if g.order % (p * (p * p - 1)) else 2
+    lines: list[tuple[int, int]] = []
+    quads = itertools.chain((m.entries for m in g.generators), (_entries(p, c) for c in g.codes))
+    for a, b, c, d in quads:
         # a transvection is not the identity and has trace 2 and determinant 1;
         # then b = 0 forces a = 1, and m - 1 = (0,0;c,0) fixes (0, 1)
-        if code == _identity_code(p) or (a + d - 2) % p or (a * d - b * c - 1) % p:
+        if (a, b, c, d) == (1, 0, 0, 1) or (a + d - 2) % p or (a * d - b * c - 1) % p:
             continue
-        lines.add((1, (1 - a) * pow(b, -1, p) % p) if b else (0, 1))
-        if len(lines) > 1:
-            break
+        line = (1, (1 - a) * pow(b, -1, p) % p) if b else (0, 1)
+        if line not in lines:
+            lines.append(line)
+            if len(lines) == want:
+                break
     return lines
 
 
@@ -442,17 +458,19 @@ def find_conjugator(g: MatrixGroup, target: MatrixGroup) -> Optional[Mat2]:
     if not lines or len(lines) != len(target_lines):
         return None
     if len(lines) > 1:
-        # both contain SL_2(F_p), so both are normal in GL_2(F_p): every t
-        # works when they are equal, and (0,1;1,0) is the first invertible one
-        return Mat2(p, 0, 1, 1, 0) if g.codes == target.codes else None
+        # both contain SL_2(F_p) and have the same order, so both are
+        # det^-1(D) for the same D: every t works, and (0,1;1,0) is the
+        # first invertible one
+        return Mat2(p, 0, 1, 1, 0)
     (u,), ((x, v),) = lines, target_lines
     # the inverse of the line matrix of (1, v) is that of (1, -v), the swap
     # is its own; for a catalog target, line (1, 0), it is the identity
     t = _line_matrix(p, u) * _line_matrix(p, (x, -v % p))
-    target_codes = target.codes
-    # conjugation is injective and the orders agree, so containment is
-    # equality; the scan stops at the first element outside the target
-    if all(c in target_codes for c in _conjugate_codes(p, g.codes, t.inv(), t)):
+    ti, target_codes = t.inv(), target.codes
+    # the generators generate g, so their conjugates generate t^-1 g t; it
+    # lies in the target when they do, and conjugation is injective and
+    # the orders agree, so containment is equality
+    if all(_code(ti * m * t) in target_codes for m in g.generators):
         return t
     return None
 
@@ -482,18 +500,18 @@ def classify(g: MatrixGroup) -> GroupClass:
     Groups of order prime to p are tagged prime_to_p; groups of order
     divisible by p that are not generated by their reflections are tagged
     other_modular; every other group is conjugate to exactly one catalog
-    group and the conjugating witness is returned.
+    group and the conjugating witness is returned. A group whose
+    transvections fix two lines is L(|G| / p(p^2 - 1)) itself (see the
+    module docstring); a group with one line is matched against the U(r, s)
+    of its order.
     """
     p = g.p
     if g.order % p != 0:
         return GroupClass("prime_to_p")
     if not _reflections_generate(g):
         return GroupClass("other_modular")
-    for r in divisors(p - 1):
-        if g.order == r * p * (p * p - 1):
-            t = find_conjugator(g, catalog_group("L", p, r))
-            if t is not None:
-                return GroupClass("L", r=r, conjugator=t)
+    if len(_transvection_lines(g)) > 1:
+        return GroupClass("L", r=g.order // (p * (p * p - 1)), conjugator=Mat2(p, 0, 1, 1, 0))
     for r in divisors(p - 1):
         for s in divisors(p - 1):
             if g.order == r * s * p:

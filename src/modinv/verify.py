@@ -371,14 +371,17 @@ def _run_genU(p: int) -> VerificationReport:
 
 def _run_genL(p: int) -> VerificationReport:
     with timed_report(p, "genL") as rep:
-        two_transvections = [grp2.Reflection(grp2.omega(p)), grp2.Reflection(grp2.omega_prime(p))]
-        expected = _ideal(p, poly2.d1(p), poly2.delta(p))
-        ok = _generalized_matches(two_transvections, expected, [p + 1, p * p - p])
-        rep.add(Check.boolean("two_transvections", ok))
+        verdicts = {}
         for r in divisors(p - 1):
             # two degrees given, so a match has exactly two generators
             expected = _ideal(p, poly2.d1(p), poly2.delta(p) ** r)
-            ok = _generalized_matches(catalog_generators("L", p, r), expected, [r * (p + 1), p * p - p])
+            verdicts[r] = _generalized_matches(
+                catalog_generators("L", p, r), expected, [r * (p + 1), p * p - p]
+            )
+        # the r = 1 set is the two transvections (the identity diagonal is
+        # dropped) and expects (d1, delta) in degrees p + 1 and p^2 - p
+        rep.add(Check.boolean("two_transvections", verdicts[1]))
+        for r, ok in verdicts.items():
             rep.add(Check.boolean(f"catalog_set_r{r}", ok))
     return rep
 

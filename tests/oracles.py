@@ -5,8 +5,9 @@ that ``format_poly`` prints. Most of this is deliberately separate from
 the package internals: dense dict arithmetic over the integers reduced
 mod p at the end, substitution via explicit big-integer binomial
 expansion, and a literal long-division routine. Slow and obviously correct. The rest are the slow paths that
-faster library code replaced (the conjugator search, the breadth-first
-group closure and the reflection test built on it, the shear division,
+faster library code replaced (the conjugator search, the transvection
+line scan over every element and the witness check on every element, the
+breadth-first group closure and the reflection test built on it, the shear division,
 the action matrix from products of powers of the image forms, the
 iterated fixed-subspace kernel, the operator rows from that matrix, the
 generalized invariant levels searched over every coordinate, the dense
@@ -40,7 +41,7 @@ from modinv.graded_ideal import (
     invariant_slice,
     minimal_generators,
 )
-from modinv.grp2 import Mat2
+from modinv.grp2 import Mat2, catalog_group
 from modinv.poly2 import Poly2, divide_slice_by_form
 from modinv.stable_chain import fixing_set
 
@@ -249,6 +250,73 @@ def reflections_generate(group) -> bool:
                 gens.append(m)
                 codes = bfs_closure(gens)
     return codes == group.codes
+
+
+def full_scan_transvection_lines(group) -> set[tuple[int, int]]:
+    """Every line fixed by a transvection of the group, as its spanning
+    column vector (1, v) or (0, 1), from a scan of every element."""
+    p = group.p
+    lines = set()
+    for code in group.codes:
+        hi, lo = divmod(code, p * p)
+        a, b, c, d = divmod(hi, p) + divmod(lo, p)
+        # not the identity, trace 2 and determinant 1
+        if (a, b, c, d) == (1, 0, 0, 1) or (a + d - 2) % p or (a * d - b * c - 1) % p:
+            continue
+        lines.add((1, (1 - a) * pow(b, -1, p) % p) if b else (0, 1))
+    return lines
+
+
+def elementwise_conjugator(group, target) -> Optional[tuple[int, int, int, int]]:
+    """The constructive witness of ``find_conjugator`` as an entry tuple,
+    or None, with the lines read by a full scan and every element of the
+    group conjugated into the target. Two or more lines on both sides
+    compare the element sets."""
+    p = group.p
+    if p != target.p or group.order != target.order:
+        return None
+    lines, target_lines = full_scan_transvection_lines(group), full_scan_transvection_lines(target)
+    if not lines or min(len(lines), 2) != min(len(target_lines), 2):
+        return None
+    if len(lines) > 1:
+        return (0, 1, 1, 0) if group.codes == target.codes else None
+    (u,), ((x, v),) = lines, target_lines
+
+    def line_matrix(line):
+        return (1, 0, line[1], 1) if line[0] else (0, 1, 1, 0)
+
+    t = _mat_mul(line_matrix(u), line_matrix((x, -v % p)), p)
+    a, b, c, d = t
+    di = pow((a * d - b * c) % p, -1, p)
+    ti = (d * di % p, -b * di % p, -c * di % p, a * di % p)
+    want = {m.entries for m in target.elements}
+    if all(_mat_mul(_mat_mul(ti, m.entries, p), t, p) in want for m in group.elements):
+        return t
+    return None
+
+
+def elementwise_classify(group) -> tuple[str, Optional[int], Optional[int], Optional[tuple]]:
+    """(kind, r, s, witness entries) of ``classify``, by trying every
+    catalog group of the right order with ``elementwise_conjugator``, the
+    reflection test by ``reflections_generate``."""
+    p = group.p
+    if group.order % p:
+        return ("prime_to_p", None, None, None)
+    if not reflections_generate(group):
+        return ("other_modular", None, None, None)
+    divs = [d for d in range(1, p) if (p - 1) % d == 0]
+    for r in divs:
+        if group.order == r * p * (p * p - 1):
+            t = elementwise_conjugator(group, catalog_group("L", p, r))
+            if t is not None:
+                return ("L", r, None, t)
+    for r in divs:
+        for s in divs:
+            if group.order == r * s * p:
+                t = elementwise_conjugator(group, catalog_group("U", p, r, s))
+                if t is not None:
+                    return ("U", r, s, t)
+    return ("other_modular", None, None, None)
 
 
 def element_order(a, p):

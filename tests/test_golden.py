@@ -30,6 +30,18 @@ CASES = [
     ("stable_p7_U1_3.json", ["stable", "--prime", "7", "--group", "U:1,3"]),
     ("verify_p11_calculinvest.json", ["verify", "--prime", "11", "--theorem", "calculinvest", "--format", "json"]),
     ("verify_p11_basedos.json", ["verify", "--prime", "11", "--theorem", "basedos", "--format", "json"]),
+    # classify prints the class only; the README example, -omega (not
+    # generated by its reflections), order prime to p, and catalog groups
+    # conjugated by (2,3;5,7) at p = 13 and by (3,1;4,1) at p = 31
+    ("classify_p3_readme.txt", ["classify", "--prime", "3", "--matrices", "2,1;0,1 2,0;0,1"]),
+    ("classify_p3_minus_omega.txt", ["classify", "--prime", "3", "--matrices", "2,0;2,2"]),
+    ("classify_p13_prime_to_p.txt", ["classify", "--prime", "13", "--matrices", "2,0;0,1"]),
+    ("classify_p13_L1.txt", ["classify", "--prime", "13", "--matrices", "7,9;9,8 5,3;12,10"]),
+    ("classify_p13_L12.txt", ["classify", "--prime", "13", "--matrices", "7,9;9,8 5,3;12,10 0,5;10,3"]),
+    ("classify_p13_U12_12.txt", ["classify", "--prime", "13", "--matrices", "5,3;12,10 0,5;10,3 3,8;3,0"]),
+    ("classify_p13_U3_4.txt", ["classify", "--prime", "13", "--matrices", "5,3;12,10 12,10;7,5 2,4;8,7"]),
+    ("classify_p31_U30_1.txt", ["classify", "--prime", "31", "--matrices", "28,30;16,5 26,29;24,9"]),
+    ("classify_p31_L1.txt", ["classify", "--prime", "31", "--matrices", "1,0;1,1 1,1;0,1"]),
 ]
 
 

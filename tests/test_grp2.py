@@ -4,7 +4,13 @@ import itertools
 import random
 
 import pytest
-from oracles import bfs_closure, brute_force_conjugator, reflections_generate
+from oracles import (
+    bfs_closure,
+    brute_force_conjugator,
+    elementwise_classify,
+    full_scan_transvection_lines,
+    reflections_generate,
+)
 
 from modinv.fp_arith import divisors
 from modinv.grp2 import (
@@ -12,6 +18,7 @@ from modinv.grp2 import (
     MatrixGroup,
     Reflection,
     _reflections_generate,
+    _transvection_lines,
     all_invertible,
     all_reflections,
     catalog_generators,
@@ -94,6 +101,13 @@ def test_catalog_generators_lists():
     assert u21 == [omega_prime(p), diag(p, 2, 1)]
     with pytest.raises(ValueError):
         catalog_generators("L", 5, 3)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_catalog_L1_set_is_the_two_transvections(p):
+    # verify genL reports its two_transvections check from the catalog_set_r1
+    # search, so the two sets must stay equal
+    assert catalog_generators("L", p, 1) == [Reflection(omega(p)), Reflection(omega_prime(p))]
 
 
 @pytest.mark.parametrize(
@@ -339,3 +353,44 @@ def test_groups_are_closures_of_their_generators(p):
     groups += [g.conjugate(rng.choice(all_invertible(p))) for g in list(groups)]
     for g in groups:
         assert bfs_closure(list(g.generators)) == g.codes
+
+
+def _assert_classify_matches_elementwise_oracle(groups):
+    # the line scan reads the generators first and stops early; classify
+    # decides L(r) by the lines and checks a U witness on the generators
+    for g in groups:
+        p = g.p
+        full = full_scan_transvection_lines(g)
+        lines = _transvection_lines(g)
+        assert len(lines) == len(set(lines)) == min(len(full), 2)
+        assert set(lines) <= full
+        # two lines generate SL_2(F_p), one line bounds |G| by p(p - 1)^2
+        assert (len(full) > 1) == (g.order % (p * (p * p - 1)) == 0)
+        tag = classify(g)
+        got = (tag.kind, tag.r, tag.s, tag.conjugator.entries if tag.conjugator else None)
+        assert got == elementwise_classify(g)
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_classify_matches_elementwise_oracle_on_reflection_closures(p):
+    refs = all_reflections(p)
+    groups = {generate_closure(list(sub)) for k in (1, 2, 3) for sub in itertools.combinations(refs, k)}
+    _assert_classify_matches_elementwise_oracle(groups)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11, 13])
+def test_classify_matches_elementwise_oracle_on_conjugated_catalog(p):
+    groups = [generate_closure(gens) for gens in _conjugated_catalog(p, 2 if p <= 7 else 1)]
+    _assert_classify_matches_elementwise_oracle(groups)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_classify_matches_elementwise_oracle_on_odd_generator_lists(p):
+    # the identity, a duplicate and non-reflections such as -omega among
+    # the generators, which the line scan and the witness check read
+    w, ident, neg_w = omega(p), Mat2.identity(p), Mat2(p, -1, 0, -1, -1)
+    lists = _seeded_generator_lists(p)
+    for kind, r, s in [("L", p - 1, None), ("U", p - 1, 1), ("U", 1, p - 1)]:
+        gens = [refl.matrix for refl in catalog_generators(kind, p, r, s)]
+        lists += [[ident] + gens, gens + gens[:1], [neg_w] + gens, [w * neg_w] + gens[1:]]
+    _assert_classify_matches_elementwise_oracle([generate_closure(gens) for gens in lists])
