@@ -11,18 +11,44 @@ kills it.
 On the degree-d slice an operator's matrix is (A - 1) / v: the rows of
 ``act_minus_identity``, each divided by v. Only the rows of the searched
 coordinates are built, each on demand from cached powers of the
-reflection's two image forms. Each operator is a twisted derivation,
-D(f g) = D(f) g + sigma(f) D(g), so the generalized invariants form an
-ideal. Its homogeneous pieces, the levels, are the slices of a
-``GradedIdeal`` whose slice source is a per-degree search: f of degree d
-is generalized invariant iff every single operator sends it into
-level(d-1). level(d) contains P_1 * level(d-1), the known part the ideal
-hands the source, so the source searches only the canonical
-representatives modulo it, with one ``fp_linalg.preimage`` that reduces
-the operator images against level(d-1)'s packed rows, building them one
-operator at a time until the kernel is zero. The tests check the
-result against the literal chain enumeration and against the same
-program run over every coordinate.
+reflection's image forms (``poly2.form_powers``). A transvection that
+fixes an axis needs no subtraction and no division:
+- x -> x + c y, v = y: x^{d-k} y^k goes to
+  ((x + c y)^{d-k} - x^{d-k}) y^{k-1}, so row k is k zeros followed by the
+  power (x + c y)^{d-k} without its first entry;
+- y -> b x + y, v = x: x^{d-k} y^k goes to x^{d-k-1} ((b x + y)^k - y^k),
+  so row k is the power (b x + y)^k without its last entry, followed by
+  d - k zeros.
+
+Each operator is a twisted derivation, D(f g) = D(f) g + sigma(f) D(g),
+so the generalized invariants form an ideal. Its homogeneous pieces, the
+levels, are the slices of a ``GradedIdeal`` whose slice source is a
+per-degree search: f of degree d is generalized invariant iff every
+single operator sends it into level(d-1). level(d) contains
+shifted = P_1 * level(d-1), the known part the ideal hands the source, so
+the source searches only the canonical representatives modulo it, the
+free columns of shifted, with one ``fp_linalg.preimage`` that reduces the
+operator images against level(d-1)'s packed rows, building them one
+operator at a time until the kernel is zero.
+
+A diagonal reflection takes part in that search as a filter, with no
+operator rows. diag(l, 1), whose form is x, sends x^{d-k} y^k to
+(l^{d-k} - 1) x^{d-k-1} y^k, at index k of degree d - 1, and diag(1, l),
+whose form is y, sends it to (l^k - 1) x^{d-k} y^{k-1}, at index k - 1;
+the image is zero exactly when the reflection fixes the monomial.
+shifted contains x * level(d-1) and y * level(d-1), so its pivots include
+every pivot c of level(d-1) and every c + 1: for a searched k, both k and
+k - 1 are free columns of level(d-1) wherever they exist. Each nonzero
+image is then a multiple of a distinct unit vector of the quotient by
+level(d-1), and a combination of searched coordinates has all its
+diagonal images in level(d-1) iff it is supported on the monomials that
+every diagonal reflection fixes. So the search keeps those coordinates
+(``graded_ideal.FixingSet.searched``, the table of the fixed-subspace
+search) and runs the preimage over the other reflections only; with no
+other reflection it returns the unit vectors of the kept coordinates.
+
+The tests check the result against the literal chain enumeration and
+against the same program run over every coordinate with every operator.
 """
 
 from __future__ import annotations
@@ -32,14 +58,16 @@ from typing import Iterable, Optional, Sequence
 
 from modinv.fp_arith import check_prime, lucas_binom
 from modinv.fp_linalg import Subspace, preimage
-from modinv.graded_ideal import GradedIdeal, default_degree_cap
+from modinv.graded_ideal import FixingSet, GradedIdeal, default_degree_cap
 from modinv.grp2 import CapExceededError, Mat2, Reflection, omega, omega_prime
 from modinv.poly2 import (
     Poly2,
     act,
     act_minus_identity,
+    check_rows,
     divide_slice_by_form,
     div_exact_linear,
+    form_powers,
     gamma,
     poly_from_slice,
 )
@@ -83,9 +111,22 @@ def delta_slice_rows(op: Reflection | Mat2, d: int, ks: Iterable[int]) -> tuple[
     """Rows k in ks of the matrix of the operator of a reflection (a
     ``Reflection`` or its ``Mat2``) on the degree-d slice: row k is the
     image of x^{d-k} y^k, as a degree d-1 slice vector. It is row k of
-    ``act_minus_identity`` divided by the reflection's linear form."""
+    ``act_minus_identity`` divided by the reflection's linear form, except
+    for a transvection that fixes an axis, whose rows are read off one
+    cached power table (see the module docstring)."""
     op = _reflection(op)
     p = op.p
+    a, b, c, dd = op.matrix.entries
+    if (a, b, dd) == (1, 0, 1):
+        # x -> x + c y, form y: row k is k zeros, then (x + c y)^{d-k} without x^{d-k}
+        ks = check_rows(d, ks)
+        xs = form_powers(p, (1, c), d)
+        return tuple((0,) * k + xs[d - k][1:] for k in ks)
+    if (a, c, dd) == (1, 0, 1):
+        # y -> b x + y, form x: row k is (b x + y)^k without y^k, then d - k zeros
+        ks = check_rows(d, ks)
+        ys = form_powers(p, (b, 1), d)
+        return tuple(ys[k][:k] + (0,) * (d - k) for k in ks)
     rows = act_minus_identity(p, op.matrix.entries, d, ks)
     return tuple(tuple(divide_slice_by_form(row, op.vsigma, p)) for row in rows)
 
@@ -113,7 +154,9 @@ def generalized_ideal(s: Sequence) -> GenInvResult:
     ``delta_slice_rows`` lies in level(d-1). It contains the known part
     W = P_1 * level(d-1) (D(x f) = sigma(x) D(f) + D(x) f) and is W plus
     the canonical representatives modulo W that it holds: one ``preimage``
-    over the non-pivot coordinates of W. The echelon rows of that
+    over the non-pivot coordinates of W that every diagonal reflection
+    fixes, under the other reflections' operators (see the module
+    docstring). The echelon rows of that
     preimage, which have leading coefficient 1, are the degree-d minimal
     generators.
 
@@ -126,13 +169,15 @@ def generalized_ideal(s: Sequence) -> GenInvResult:
     """
     ops = _reflections(s)
     p = ops[0].p
+    fixing = FixingSet(p, [op.matrix for op in ops])
+    moving = [op for op in ops if not op.matrix.is_diagonal()]
     preimages: dict[int, Subspace] = {}  # read by the generator scan
 
     def search(e: int, below: Subspace, shifted: Subspace) -> Subspace:
-        coords = shifted.complement()
+        coords = fixing.searched(e, shifted.complement())
         new = Subspace.zero(p, e + 1)
         if coords:
-            maps = (delta_slice_rows(op, e, coords) for op in ops)
+            maps = (delta_slice_rows(op, e, coords) for op in moving)
             new = preimage(p, e + 1, coords, maps, below)
         preimages[e] = new
         return new

@@ -53,13 +53,13 @@ the fixed subspace of a group in P or P/I: one ``fp_linalg.preimage`` of
 I_d under the rows of ``act_minus_identity``, the question
 ``generalized_ideal`` asks of its operators. Its diagonal elements are
 one table of fixed exponent residues (``FixingSet``), built once per
-group and read once per searched coordinate.
+group and read once per searched coordinate; the generalized search of
+``demazure`` reads its diagonal reflections through the same table.
 """
 
 from __future__ import annotations
 
 import os
-import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -126,7 +126,6 @@ class GradedIdeal:
         # what the slice source added in each degree of _slices (None
         # without a source), read by extensions (see with_extra_generators)
         self._parts: list[Optional[Subspace]] = [None]
-        self._slice_lock = threading.Lock()  # cache extension is serialized
         self._gens_by_degree: dict[int, list[Poly2]] = {}
         for g in self.generators:
             self._gens_by_degree.setdefault(g.degree(), []).append(g)
@@ -164,13 +163,11 @@ class GradedIdeal:
         """Canonical subspace of the degree-d piece of the ideal."""
         if d < 0:
             raise ValueError("negative degree")
-        if len(self._slices) <= d:
-            with self._slice_lock:
-                while len(self._slices) <= d:
-                    e = len(self._slices)
-                    sub, part = self._next_slice(self._slices[e - 1], e)
-                    self._slices.append(sub)
-                    self._parts.append(part)
+        while len(self._slices) <= d:
+            e = len(self._slices)
+            sub, part = self._next_slice(self._slices[e - 1], e)
+            self._slices.append(sub)
+            self._parts.append(part)
         return self._slices[d]
 
     def _next_slice(self, prev: Subspace, e: int) -> tuple[Subspace, Optional[Subspace]]:

@@ -25,7 +25,9 @@ SL_2(F_p), so a group with two lines has order divisible by
 stabilizer, of order p(p - 1)^2, which p(p^2 - 1) never divides: the
 order alone says how many lines to look for. A group containing SL_2(F_p)
 is det^-1(D) for the subgroup D of F_p^* of order |G| / p(p^2 - 1), so it
-is L(r) itself with r = |D|, normal in GL_2(F_p). With exactly one line,
+is L(r) itself with r = |D|, normal in GL_2(F_p), and generated by its
+reflections (the transvections and the diagonal diag(z, 1), z in D): its
+order decides it, with no reflection scan. With exactly one line,
 any matrix whose first column spans the line moves the group onto the
 upper triangular form of U(r, s). The witness is the lexicographically
 first conjugator in entry order, as a search of all of GL_2(F_p) would
@@ -500,18 +502,19 @@ def classify(g: MatrixGroup) -> GroupClass:
     Groups of order prime to p are tagged prime_to_p; groups of order
     divisible by p that are not generated by their reflections are tagged
     other_modular; every other group is conjugate to exactly one catalog
-    group and the conjugating witness is returned. A group whose
-    transvections fix two lines is L(|G| / p(p^2 - 1)) itself (see the
-    module docstring); a group with one line is matched against the U(r, s)
-    of its order.
+    group and the conjugating witness is returned. A group whose order
+    p(p^2 - 1) divides contains SL_2(F_p) and is L(|G| / p(p^2 - 1)) itself
+    (see the module docstring), so only the other groups pay for the
+    reflection test; a group with one transvection line is matched against
+    the U(r, s) of its order.
     """
     p = g.p
     if g.order % p != 0:
         return GroupClass("prime_to_p")
+    if g.order % (p * (p * p - 1)) == 0:
+        return GroupClass("L", r=g.order // (p * (p * p - 1)), conjugator=Mat2(p, 0, 1, 1, 0))
     if not _reflections_generate(g):
         return GroupClass("other_modular")
-    if len(_transvection_lines(g)) > 1:
-        return GroupClass("L", r=g.order // (p * (p * p - 1)), conjugator=Mat2(p, 0, 1, 1, 0))
     for r in divisors(p - 1):
         for s in divisors(p - 1):
             if g.order == r * s * p:

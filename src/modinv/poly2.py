@@ -11,9 +11,11 @@ vector (x, y) by (x, y) A, so x -> a x + c y and y -> b x + d y. Under
 this convention the transvection [[1, 0], [1, 1]] sends x to x + y and
 fixes y, and act(A, act(B, f)) == act(A B, f). The action on the degree-d
 slice is one matrix, ``act_matrix``, whose row k is the image
-(a x + c y)^{d-k} (b x + d y)^k of x^{d-k} y^k. Rows are built on demand,
-each from two cached powers of the image forms a x + c y and b x + d y, and
-callers ask only for the rows they use; ``act`` asks for one row per term.
+(a x + c y)^{d-k} (b x + d y)^k of x^{d-k} y^k. Rows are built on demand
+from cached powers of the image forms a x + c y and b x + d y (one power,
+padded with zeros, when the matrix fixes x or y; one convolve of two
+otherwise), and callers ask only for the rows they use; ``act`` asks for
+one row per term.
 ``act_minus_identity`` gives the rows of A - 1 in the same way.
 The power tables hold O(D^2) entries per form through degree D, where a
 cache of whole matrices would hold O(D^3) per matrix.
@@ -24,7 +26,6 @@ of coefficients of (x^d, x^{d-1} y, ..., y^d); index = exponent of y.
 
 from __future__ import annotations
 
-import threading
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -245,26 +246,31 @@ def act(mat, f: Poly2) -> Poly2:
 
 @lru_cache(maxsize=64)
 def _power_table(p: int, form: tuple[int, int]) -> list[tuple[int, ...]]:
-    # slice vectors of (u x + v y)^n for n = 0, 1, ...; only _powers grows it
+    # slice vectors of (u x + v y)^n for n = 0, 1, ...; only form_powers grows it
     return [(1,)]
 
 
-_powers_lock = threading.Lock()
-
-
-def _powers(p: int, form: tuple[int, int], n: int) -> list[tuple[int, ...]]:
-    """The power table of the linear form u x + v y, through exponent n.
-
-    A table grows by one length-2 convolve per new power. Growth is
-    serialized and appends only whole entries, so a reader never sees a
-    half-built table.
-    """
+def form_powers(p: int, form: tuple[int, int], n: int) -> list[tuple[int, ...]]:
+    """The cached power table of the linear form u x + v y, form = (u, v),
+    through exponent n: entry e is the slice vector of (u x + v y)^e. A
+    table grows by one length-2 convolve per new power and may already
+    hold more than n + 1 entries."""
     table = _power_table(p, form)
-    if len(table) <= n:
-        with _powers_lock:
-            while len(table) <= n:
-                table.append(tuple(_kernels.convolve(table[-1], form, p)))
+    while len(table) <= n:
+        table.append(tuple(_kernels.convolve(table[-1], form, p)))
     return table
+
+
+def check_rows(d: int, ks: Iterable[int]) -> list[int]:
+    """ks as a list, after checking that d >= 0 and that every k is a row
+    0..d of the degree-d slice."""
+    if d < 0:
+        raise ValueError(f"negative degree {d}")
+    ks = list(ks)
+    if ks and not 0 <= min(ks) <= max(ks) <= d:
+        bad = next(k for k in ks if not 0 <= k <= d)
+        raise ValueError(f"row {bad} outside 0..{d}")
+    return ks
 
 
 def act_matrix(
@@ -274,20 +280,23 @@ def act_matrix(
     on the degree-d slice.
 
     Row k is the slice vector of the image of x^{d-k} y^k, which is
-    (a x + c y)^{d-k} (b x + d y)^k: one convolve of two cached powers of
-    the image forms, the operand with fewer nonzero entries outermost.
-    ``convolve`` skips zero entries, so when one image form is a monomial
-    (a triangular matrix) a row costs O(d).
+    (a x + c y)^{d-k} (b x + d y)^k, built from cached powers of the image
+    forms (``form_powers``). A matrix that fixes x (a = 1, c = 0) makes row
+    k the power (b x + d y)^k padded with d - k zeros, x^{d-k} adding
+    nothing to the y-exponents; one that fixes y (b = 0, d = 1) makes it k
+    zeros, the factor y^k, followed by (a x + c y)^{d-k}. Any other row is
+    one convolve of the two powers, the operand with fewer nonzero entries
+    outermost.
     """
-    if d < 0:
-        raise ValueError(f"negative degree {d}")
-    ks = list(ks)
-    if ks and not 0 <= min(ks) <= max(ks) <= d:
-        bad = next(k for k in ks if not 0 <= k <= d)
-        raise ValueError(f"row {bad} outside 0..{d}")
+    ks = check_rows(d, ks)
     a, b, c, dd = entries
-    xs = _powers(p, (a, c), d)
-    ys = _powers(p, (b, dd), d)
+    if (a, c) == (1, 0):
+        ys = form_powers(p, (b, dd), d)
+        return tuple(ys[k] + (0,) * (d - k) for k in ks)
+    xs = form_powers(p, (a, c), d)
+    if (b, dd) == (0, 1):
+        return tuple((0,) * k + xs[d - k] for k in ks)
+    ys = form_powers(p, (b, dd), d)
     rows = []
     for k in ks:
         u, v = xs[d - k], ys[k]

@@ -7,7 +7,9 @@ mod p at the end, substitution via explicit big-integer binomial
 expansion, and a literal long-division routine. Slow and obviously correct. The rest are the slow paths that
 faster library code replaced (the conjugator search, the transvection
 line scan over every element and the witness check on every element, the
-breadth-first group closure and the reflection test built on it, the shear division,
+breadth-first group closure and the reflection test built on it, the
+classification that runs the reflection scan before it reads the order,
+the shear division,
 the action matrix from products of powers of the image forms, the
 iterated fixed-subspace kernel, the operator rows from that matrix, the
 generalized invariant levels searched over every coordinate, the dense
@@ -32,7 +34,7 @@ from typing import Optional, Sequence
 
 from modinv import _kernels
 from modinv.demazure import chain
-from modinv.fp_arith import check_prime
+from modinv.fp_arith import check_prime, divisors
 from modinv.fp_linalg import Subspace, kernel
 from modinv.graded_ideal import (
     GradedIdeal,
@@ -41,7 +43,13 @@ from modinv.graded_ideal import (
     invariant_slice,
     minimal_generators,
 )
-from modinv.grp2 import Mat2, catalog_group
+from modinv.grp2 import (
+    Mat2,
+    _reflections_generate,
+    _transvection_lines,
+    catalog_group,
+    find_conjugator,
+)
 from modinv.poly2 import Poly2, divide_slice_by_form
 from modinv.stable_chain import fixing_set
 
@@ -319,6 +327,27 @@ def elementwise_classify(group) -> tuple[str, Optional[int], Optional[int], Opti
     return ("other_modular", None, None, None)
 
 
+def scan_first_classify(group) -> tuple[str, Optional[int], Optional[int], Optional[tuple]]:
+    """(kind, r, s, witness entries) of ``classify`` by its earlier decision
+    order: the reflection scan (``grp2._reflections_generate``) on every
+    group of order divisible by p before anything else, L(r) from two
+    transvection lines, then the U(r, s) of the group's order."""
+    p = group.p
+    if group.order % p:
+        return ("prime_to_p", None, None, None)
+    if not _reflections_generate(group):
+        return ("other_modular", None, None, None)
+    if len(_transvection_lines(group)) > 1:
+        return ("L", group.order // (p * (p * p - 1)), None, (0, 1, 1, 0))
+    for r in divisors(p - 1):
+        for s in divisors(p - 1):
+            if group.order == r * s * p:
+                t = find_conjugator(group, catalog_group("U", p, r, s))
+                if t is not None:
+                    return ("U", r, s, t.entries)
+    return ("other_modular", None, None, None)
+
+
 def element_order(a, p):
     """Multiplicative order of a nonzero residue, by repeated multiplication."""
     a %= p
@@ -347,25 +376,45 @@ def shear_div_linear(f, a, b, p):
     return zreduce(zsubstitute(quot, 1, 0, b, 1), p), zreduce(zsubstitute(rem, 1, 0, b, 1), p)
 
 
+def _product(f, g, p):
+    # the product of two slice vectors, the one with fewer nonzero entries
+    # outermost, whose zero entries are skipped
+    if len(f) - f.count(0) > len(g) - g.count(0):
+        f, g = g, f
+    out = [0] * (len(f) + len(g) - 1)
+    for i, u in enumerate(f):
+        if u:
+            out[i : i + len(g)] = [s + u * v for s, v in zip(out[i : i + len(g)], g)]
+    return [x % p for x in out]
+
+
+@lru_cache(maxsize=None)
+def _oracle_powers(p: int, form) -> list[list[int]]:
+    # slice vectors of (u x + v y)^n for n = 0, 1, ...; grown by power_product_rows
+    return [[1]]
+
+
+def power_product_rows(p: int, entries, d: int, ks) -> tuple[tuple[int, ...], ...]:
+    """Rows k in ks of the substitution matrix on the degree-d slice (row k
+    = the image of x^{d-k} y^k) as the products (a x + c y)^{d-k} (b x + d y)^k
+    of powers of the two image forms. The powers of each form are built
+    once, each from the one below."""
+    a, b, c, dd = entries
+    tables = []
+    for form in ((a, c), (b, dd)):
+        table = _oracle_powers(p, form)
+        while len(table) <= d:
+            table.append(_product(table[-1], list(form), p))
+        tables.append(table)
+    xs, ys = tables
+    return tuple(tuple(_product(xs[d - k], ys[k], p)) for k in ks)
+
+
 @lru_cache(maxsize=None)
 def power_product_act_matrix(p: int, entries, d: int) -> tuple[tuple[int, ...], ...]:
-    """The substitution matrix on the degree-d slice (row k = the image of
-    x^{d-k} y^k) as the products (a x + c y)^{d-k} (b x + d y)^k of powers
-    of the two image forms."""
-    a, b, c, dd = entries
-
-    def product(f, g):
-        out = [0] * (len(f) + len(g) - 1)
-        for i, u in enumerate(f):
-            for j, v in enumerate(g):
-                out[i + j] = (out[i + j] + u * v) % p
-        return out
-
-    pow_x, pow_y = [[1]], [[1]]
-    for _ in range(d):
-        pow_x.append(product(pow_x[-1], [a, c]))
-        pow_y.append(product(pow_y[-1], [b, dd]))
-    return tuple(tuple(product(pow_x[d - k], pow_y[k])) for k in range(d + 1))
+    """The substitution matrix on the degree-d slice: every row of
+    ``power_product_rows``."""
+    return power_product_rows(p, entries, d, range(d + 1))
 
 
 def recurrence_act_matrix(p: int, entries, prev) -> tuple[tuple[int, ...], ...]:
@@ -472,15 +521,20 @@ def iterated_invariant_slice(
     return Subspace.span(p, n, basis)
 
 
-def substitution_delta_rows(op, d: int) -> tuple[tuple[int, ...], ...]:
-    """The matrix of the difference operator of a reflection on the degree-d
-    slice (row k = the image of x^{d-k} y^k), as (action matrix - identity)
-    divided row by row by the reflection's linear form."""
+def substitution_delta_rows(op, d: int, ks=None) -> tuple[tuple[int, ...], ...]:
+    """Rows k in ks (all rows by default) of the matrix of the difference
+    operator of a reflection on the degree-d slice (row k = the image of
+    x^{d-k} y^k), as (action matrix - identity) divided row by row by the
+    reflection's linear form."""
     p = op.p
-    mat = power_product_act_matrix(p, op.matrix.entries, d)
+    if ks is None:
+        ks, images = range(d + 1), power_product_act_matrix(p, op.matrix.entries, d)
+    else:
+        ks = list(ks)
+        images = power_product_rows(p, op.matrix.entries, d, ks)
     rows = []
-    for k in range(d + 1):
-        diff = [(a - (1 if i == k else 0)) % p for i, a in enumerate(mat[k])]
+    for k, image in zip(ks, images):
+        diff = [(a - (1 if i == k else 0)) % p for i, a in enumerate(image)]
         rows.append(tuple(divide_slice_by_form(diff, op.vsigma, p)))
     return tuple(rows)
 

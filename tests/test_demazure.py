@@ -22,11 +22,12 @@ from modinv.grp2 import (
     all_reflections,
     catalog_generators,
     catalog_group,
+    diag,
     generate_closure,
     omega,
     omega_prime,
 )
-from modinv.poly2 import Poly2
+from modinv.poly2 import Poly2, act_matrix
 from modinv.stable_chain import compute_J1, stable_chain
 from oracles import (
     BudgetExceededError,
@@ -34,6 +35,7 @@ from oracles import (
     contains_all,
     full_preimage_levels,
     parse_poly,
+    power_product_rows,
     substitution_delta_rows,
 )
 
@@ -279,6 +281,83 @@ def test_delta_slice_rows_match_substitution_oracle(p):
         op = Reflection(m)
         for d in range(31):
             assert delta_slice_rows(op, d, range(d + 1)) == substitution_delta_rows(op, d), (m, d)
+
+
+def _axis_transvection_rows(rng, d):
+    # every row through degree 12, then the two end rows, the middle one and
+    # a seeded draw, in no particular order
+    if d <= 12:
+        return list(range(d + 1))
+    ks = [d, 0, d // 2, rng.randrange(d + 1)]
+    rng.shuffle(ks)
+    return ks
+
+
+@pytest.mark.parametrize("p", [11, 13])
+def test_axis_transvection_rows_match_power_product_oracles(p):
+    # x -> x + c y and y -> b x + y for every nonzero b and c, every degree
+    # through 2 p^2: the padded powers of act_matrix and the operator rows
+    # read off one power table, against the products of powers and the
+    # divided (A - 1) rows
+    rng = random.Random(500 + p)
+    mats = [Mat2(p, 1, 0, c, 1) for c in range(1, p)] + [Mat2(p, 1, b, 0, 1) for b in range(1, p)]
+    for m in mats:
+        op = Reflection(m)
+        for d in range(2 * p * p + 1):
+            ks = _axis_transvection_rows(rng, d)
+            assert act_matrix(p, m.entries, d, ks) == power_product_rows(p, m.entries, d, ks), (m, d)
+            assert delta_slice_rows(op, d, ks) == substitution_delta_rows(op, d, ks), (m, d)
+
+
+def _diagonal_sets(p, rng, count):
+    # seeded sets holding diag(l, 1) and diag(1, m) together, alone or with a
+    # transvection, a conjugated (non-diagonal, non-triangular) semisimple
+    # reflection, or both
+    units = range(2, p)
+    out = []
+    for _ in range(count):
+        lam, mu = rng.choice(units), rng.choice(units)
+        u, v = rng.randrange(1, p), rng.randrange(1, p)
+        while u * v % p == 1:
+            u, v = rng.randrange(1, p), rng.randrange(1, p)
+        t = Mat2(p, 1, u, v, 1)
+        conjugated = t.inv() * diag(p, rng.choice(units), 1) * t
+        extra = rng.choice([[], [omega(p)], [omega_prime(p)], [conjugated], [omega(p), conjugated]])
+        out.append([Reflection(m) for m in [diag(p, lam, 1), diag(p, 1, mu)] + extra])
+    return out
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_levels_match_full_preimage_oracle_on_sets_with_diagonals(p):
+    # the diagonal reflections filter the searched coordinates and build no
+    # operator rows; the levels and generators must equal the search over
+    # every coordinate with every operator
+    rng = random.Random(300 + p)
+    sets = _diagonal_sets(p, rng, 12)
+    assert any(op.matrix.b and op.matrix.c for refl in sets for op in refl)
+    for refl in sets:
+        _check_against_full_preimage(refl)
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_diagonal_reflections_alone_give_the_monomial_ideal(p):
+    # diag(l, 1) of order r and diag(1, m) of order s: a chain of deg(f)
+    # operators on x^i y^j lowers i by the first operator's count and j by
+    # the second's, so it kills x^i y^j iff i >= r or j >= s, and the ideal
+    # is (x^r, y^s); no operator rows are built
+    from modinv.fp_arith import primitive_root
+
+    z = primitive_root(p)
+    for r in divisors(p - 1):
+        for s in divisors(p - 1):
+            if r == 1 or s == 1:
+                continue
+            lam, mu = pow(z, (p - 1) // r, p), pow(z, (p - 1) // s, p)
+            refl = [Reflection(diag(p, lam, 1)), Reflection(diag(p, 1, mu))]
+            res = _check_against_full_preimage(refl)
+            monomials = GradedIdeal(p, [poly2.power(p, "x", r), poly2.power(p, "y", s)])
+            assert ideal_equal(res.ideal, monomials)
+            assert res.regular_sequence and sorted(res.generator_degrees) == sorted([r, s])
 
 
 @pytest.mark.parametrize("p", [3, 5])

@@ -10,9 +10,10 @@ from oracles import (
     elementwise_classify,
     full_scan_transvection_lines,
     reflections_generate,
+    scan_first_classify,
 )
 
-from modinv.fp_arith import divisors
+from modinv.fp_arith import divisors, primitive_root
 from modinv.grp2 import (
     Mat2,
     MatrixGroup,
@@ -369,6 +370,7 @@ def _assert_classify_matches_elementwise_oracle(groups):
         tag = classify(g)
         got = (tag.kind, tag.r, tag.s, tag.conjugator.entries if tag.conjugator else None)
         assert got == elementwise_classify(g)
+        assert got == scan_first_classify(g)
 
 
 @pytest.mark.parametrize("p", [2, 3])
@@ -394,3 +396,30 @@ def test_classify_matches_elementwise_oracle_on_odd_generator_lists(p):
         gens = [refl.matrix for refl in catalog_generators(kind, p, r, s)]
         lists += [[ident] + gens, gens + gens[:1], [neg_w] + gens, [w * neg_w] + gens[1:]]
     _assert_classify_matches_elementwise_oracle([generate_closure(gens) for gens in lists])
+
+
+def test_classify_by_order_matches_the_scan_first_oracle_at_p31():
+    # a generator that is not a reflection in each list, so the scan adjoins
+    # the group's reflections one by one:
+    # SL_2(F_31) from omega * omega' and omega, L(2) from one more matrix of
+    # determinant -1, the Borel group U(30, 30) from z * omega' and diag(z, z^2),
+    # and <-omega>, whose reflections generate only <omega>
+    p = 31
+    z = primitive_root(p)
+    w, wp = omega(p), omega_prime(p)
+    ww = w * wp
+    lists = [
+        [ww, w],
+        [ww, w, diag(p, -1, 1) * ww],
+        [diag(p, z, z) * wp, diag(p, z, z * z)],
+        [Mat2(p, -1, 0, -1, -1)],
+        [ww],
+    ]
+    want = [("L", 1), ("L", 2), ("U", 30), ("other_modular", None), ("prime_to_p", None)]
+    for gens, (kind, r) in zip(lists, want):
+        assert not all(is_reflection(m) for m in gens)
+        g = generate_closure(gens)
+        tag = classify(g)
+        assert (tag.kind, tag.r) == (kind, r)
+        got = (tag.kind, tag.r, tag.s, tag.conjugator.entries if tag.conjugator else None)
+        assert got == scan_first_classify(g)

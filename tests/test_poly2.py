@@ -206,9 +206,9 @@ def test_act_matrix_and_act_match_power_products(p):
         for d in range(31):
             expected = power_product_act_matrix(p, m.entries, d)
             assert act_matrix(p, m.entries, d, range(d + 1)) == expected, (m, d)
-            for k in range(d + 1):
+            for k, row in enumerate(expected):
                 image = act(m, Poly2.monomial(p, 1, d - k, k))
-                assert image == poly_from_slice(p, d, expected[k]), (m, d, k)
+                assert image.terms == {(d - j, j): v for j, v in enumerate(row) if v}, (m, d, k)
 
 
 def test_act_matrix_cold_call_is_shallow():
