@@ -170,7 +170,7 @@ def generalized_ideal(s: Sequence) -> GenInvResult:
     ops = _reflections(s)
     p = ops[0].p
     fixing = FixingSet(p, [op.matrix for op in ops])
-    moving = [op for op in ops if not op.matrix.is_diagonal()]
+    moving = [Reflection(g) for g in fixing.moving]
     preimages: dict[int, Subspace] = {}  # read by the generator scan
 
     def search(e: int, below: Subspace, shifted: Subspace) -> Subspace:

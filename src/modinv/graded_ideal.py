@@ -60,6 +60,7 @@ group and read once per searched coordinate; the generalized search of
 from __future__ import annotations
 
 import os
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -126,6 +127,7 @@ class GradedIdeal:
         # what the slice source added in each degree of _slices (None
         # without a source), read by extensions (see with_extra_generators)
         self._parts: list[Optional[Subspace]] = [None]
+        self._slice_lock = threading.Lock()  # cache extension is serialized
         self._gens_by_degree: dict[int, list[Poly2]] = {}
         for g in self.generators:
             self._gens_by_degree.setdefault(g.degree(), []).append(g)
@@ -163,11 +165,13 @@ class GradedIdeal:
         """Canonical subspace of the degree-d piece of the ideal."""
         if d < 0:
             raise ValueError("negative degree")
-        while len(self._slices) <= d:
-            e = len(self._slices)
-            sub, part = self._next_slice(self._slices[e - 1], e)
-            self._slices.append(sub)
-            self._parts.append(part)
+        if len(self._slices) <= d:
+            with self._slice_lock:
+                while len(self._slices) <= d:
+                    e = len(self._slices)
+                    sub, part = self._next_slice(self._slices[e - 1], e)
+                    self._slices.append(sub)
+                    self._parts.append(part)
         return self._slices[d]
 
     def _next_slice(self, prev: Subspace, e: int) -> tuple[Subspace, Optional[Subspace]]:

@@ -26,6 +26,7 @@ of coefficients of (x^d, x^{d-1} y, ..., y^d); index = exponent of y.
 
 from __future__ import annotations
 
+import threading
 from functools import lru_cache
 from typing import Iterable, Mapping, Sequence
 
@@ -250,14 +251,21 @@ def _power_table(p: int, form: tuple[int, int]) -> list[tuple[int, ...]]:
     return [(1,)]
 
 
+_powers_lock = threading.Lock()
+
+
 def form_powers(p: int, form: tuple[int, int], n: int) -> list[tuple[int, ...]]:
     """The cached power table of the linear form u x + v y, form = (u, v),
     through exponent n: entry e is the slice vector of (u x + v y)^e. A
     table grows by one length-2 convolve per new power and may already
-    hold more than n + 1 entries."""
+    hold more than n + 1 entries. Growth is serialized and appends only
+    whole entries, so a reader never sees a half-built table.
+    """
     table = _power_table(p, form)
-    while len(table) <= n:
-        table.append(tuple(_kernels.convolve(table[-1], form, p)))
+    if len(table) <= n:
+        with _powers_lock:
+            while len(table) <= n:
+                table.append(tuple(_kernels.convolve(table[-1], form, p)))
     return table
 
 

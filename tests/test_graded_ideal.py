@@ -441,11 +441,38 @@ def test_degree_cap_env_rejects_invalid(monkeypatch, value):
 def test_concurrent_slice_readers():
     from concurrent.futures import ThreadPoolExecutor
 
+    # compared with an ideal built in one thread: a slice appended twice
+    # would shift every later degree of the shared ideal
     p = 3
-    i = GradedIdeal(p, [poly2.d1(p), poly2.delta(p)])
+    gens = [poly2.d1(p), poly2.delta(p)]
+    i = GradedIdeal(p, gens)
     with ThreadPoolExecutor(max_workers=8) as pool:
         dims = list(pool.map(lambda d: i.slice(d).dim, list(range(12)) * 4))
-    assert dims == [i.slice(d).dim for d in list(range(12)) * 4]
+    alone = GradedIdeal(p, gens)
+    assert dims == [alone.slice(d).dim for d in list(range(12)) * 4]
+    assert [i.slice(d) for d in range(12)] == [alone.slice(d) for d in range(12)]
+
+
+def test_concurrent_slice_readers_interleaved_by_the_source():
+    # a source that sleeps hands the interpreter to another reader inside
+    # every slice step, so growth that is not serialized appends a degree
+    # twice here
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    p = 3
+    gens = [poly2.d1(p), poly2.delta(p)]
+
+    def pause(e, below, shifted):
+        time.sleep(0.001)
+        return Subspace.zero(p, e + 1)
+
+    i = GradedIdeal(p, gens, slice_source=pause)
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(lambda d: i.slice(d), [11] * 8 + list(range(12))))
+    alone = GradedIdeal(p, gens)
+    assert len(i._slices) == 12
+    assert [i.slice(d) for d in range(12)] == [alone.slice(d) for d in range(12)]
 
 
 @pytest.mark.parametrize("p", [2, 3, 5])

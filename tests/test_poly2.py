@@ -547,3 +547,27 @@ def test_linear_form_normalization():
     assert (lf.a, lf.b) == (0, 1)
     with pytest.raises(ValueError):
         LinearForm(5, 0, 0)
+
+
+def test_concurrent_power_table_growth(monkeypatch):
+    # a convolve that sleeps hands the interpreter to another thread inside
+    # every growth step, so growth that is not serialized appends a power
+    # twice and every later entry is off by one exponent
+    import math
+    import time
+    from concurrent.futures import ThreadPoolExecutor
+
+    convolve = poly2._kernels.convolve
+
+    def slow(a, b, p):
+        time.sleep(0.001)
+        return convolve(a, b, p)
+
+    monkeypatch.setattr(poly2._kernels, "convolve", slow)
+    p, (u, v), n = 101, (3, 7), 20  # a form no other test grows
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        list(pool.map(lambda m: poly2.form_powers(p, (u, v), m), [n] * 8))
+    table = poly2.form_powers(p, (u, v), n)
+    assert len(table) == n + 1
+    for e, row in enumerate(table):
+        assert row == tuple(math.comb(e, k) * u ** (e - k) * v**k % p for k in range(e + 1))
