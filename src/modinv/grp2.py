@@ -8,13 +8,14 @@ matrices [[alpha, lam], [0, beta]] with alpha^r = beta^s = 1, generated by
 the transvection fixing x plus two diagonal reflections. Every reflection
 group of order divisible by p is conjugate to exactly one catalog group.
 
-A group stores its elements as integer codes: [[a, b], [c, d]] is
-((a*p + b)*p + c)*p + d, so integer order is entry order. Closure,
-conjugation and the reflection tests run on the codes; Mat2 objects are
-built only at the API edge (generators, witnesses, ``elements``). Closure
-adjoins one generator at a time by Dimino's coset algorithm (G. Butler,
-LNCS 559, 1991, ch. 6), and so does the test that a group is generated by
-its reflections: only coset representatives are tested for membership.
+A group is its generators and its order; conjugation and equality read
+only these. Its element codes, [[a, b], [c, d]] as ((a*p + b)*p + c)*p + d
+(integer order is entry order), are a cache of the one closure, built on
+first read. That closure adjoins one code at a time by Dimino's coset
+algorithm (G. Butler, LNCS 559, 1991, ch. 6), skipping members and
+stopping at a known order, and so serves the test that a group is
+generated by its reflections too: only coset representatives are tested
+for membership. Mat2 objects are built only at the API edge.
 
 Classification is constructive, by Dickson's theorem (L. E. Dickson,
 Linear Groups, 1901). A subgroup of order divisible by p contains
@@ -196,10 +197,6 @@ def _entries(p: int, code: int) -> tuple[int, int, int, int]:
     return divmod(hi, p) + divmod(lo, p)
 
 
-def _identity_code(p: int) -> int:
-    return p * p * p + 1
-
-
 def _code(m: Mat2) -> int:
     p = m.p
     return ((m.a * p + m.b) * p + m.c) * p + m.d
@@ -210,44 +207,19 @@ def _is_reflection_entries(p: int, a: int, b: int, c: int, d: int) -> bool:
     return (a, b, c, d) != (1, 0, 0, 1) and (1 - a - d + a * d - b * c) % p == 0
 
 
-def _conjugate_codes(p: int, codes, ti: Mat2, t: Mat2) -> list[int]:
-    """The codes of ti * m * t, one per code m. Row i of the product is
-    ti[i][0] (row 0 of m) t + ti[i][1] (row 1 of m) t; each term is read
-    from a table over the p^2 row codes, packed in base 2p so that the two
-    terms add without a carry, and a table over the sums reduces mod p."""
-    pp, w = p * p, 2 * p
-    rows = _row_map(p, t.entries)
-
-    def scaled(k: int) -> list[int]:
-        # row code x*p + y -> k (x, y) t, packed in base 2p
-        return [k * (r // p) % p * w + k * r % p for r in rows]
-
-    a0, b0, a1, b1 = (scaled(k) for k in ti.entries)
-    low = [u % p * p + v % p for u in range(w) for v in range(w)]
-    high = [c * pp for c in low]
-    halves = map(divmod, codes, itertools.repeat(pp))
-    return [high[a0[hi] + b0[lo]] + low[a1[hi] + b1[lo]] for hi, lo in halves]
-
-
-def _row_map(p: int, g: tuple[int, int, int, int]) -> list[int]:
-    """Entry x*p + y is the row code of the row vector (x, y) times g, for
-    all p^2 rows. The code of m * g is then
-    rows[m // p^2] * p^2 + rows[m % p^2]."""
-    a, b, c, d = g
-    return [(x * a + y * c) % p * p + (x * b + y * d) % p for x in range(p) for y in range(p)]
-
-
-def _adjoin(p: int, elems: list, seen: set, maps: list, g: tuple[int, int, int, int]) -> None:
+def _adjoin(p: int, elems: list, seen: set, maps: list, g: int) -> None:
     """One step of Dimino's coset closure (G. Butler, Fundamental
     Algorithms for Permutation Groups, LNCS 559, 1991, ch. 6). ``elems``
     lists and ``seen`` holds a subgroup H closed under the right
-    multiplications ``maps``, ``elems[0]`` the identity. The step adds g's
-    map and grows H to <H, g> by right cosets, blocks of |H| entries each
-    led by its representative r, scanned from the identity on: when r s is
-    new for a map s, the block of r mapped by s is the new coset H r s.
-    Cosets are disjoint, so only representatives are tested."""
-    pp = p * p
-    maps.append(_row_map(p, g))
+    multiplications ``maps``, ``elems[0]`` the identity. The step adds the
+    map of the code g and grows H to <H, g> by right cosets, blocks of |H|
+    entries each led by its representative r, scanned from the identity
+    on: when r s is new for a map s, the block of r mapped by s is the new
+    coset H r s. Cosets are disjoint, so only representatives are tested."""
+    pp, (a, b, c, d) = p * p, _entries(p, g)
+    # entry x*p + y is the row code of (x, y) g, so m g has the code
+    # rows[m // p^2] * p^2 + rows[m % p^2]
+    maps.append([(x * a + y * c) % p * p + (x * b + y * d) % p for x in range(p) for y in range(p)])
     n, start = len(elems), 0
     while start < len(elems):
         hi, lo = divmod(elems[start], pp)
@@ -259,72 +231,99 @@ def _adjoin(p: int, elems: list, seen: set, maps: list, g: tuple[int, int, int, 
         start += n
 
 
+def _closure(p: int, codes, order: Optional[int] = None) -> set[int]:
+    """The subgroup generated by ``codes``: one ``_adjoin`` per code not yet
+    in it, until it has ``order`` elements (the rest is never read)."""
+    elems = [p * p * p + 1]  # the identity
+    seen, maps = set(elems), []
+    for code in codes:
+        if len(elems) == order:
+            break
+        if code not in seen:
+            _adjoin(p, elems, seen, maps, code)
+    return seen
+
+
 class _Elements:
-    """A group's elements as a read-only set of Mat2 over its codes. Size
-    and equality with another group's elements read the codes; only
-    iteration, in entry order, builds Mat2 objects."""
+    """A group's elements as a read-only set of Mat2. Size is the order and
+    equality between views is group equality; only iteration, in entry
+    order, reads the codes."""
 
-    __slots__ = ("p", "codes")
+    __slots__ = ("group",)
 
-    def __init__(self, p: int, codes: frozenset[int]):
-        self.p, self.codes = p, codes
+    def __init__(self, group: "MatrixGroup"):
+        self.group = group
 
     def __len__(self) -> int:
-        return len(self.codes)
+        return self.group.order
 
     def __iter__(self):
-        p = self.p
-        return (Mat2._trusted(p, *_entries(p, c)) for c in sorted(self.codes))
+        p = self.group.p
+        return (Mat2._trusted(p, *_entries(p, c)) for c in sorted(self.group.codes))
 
     def __eq__(self, other):
         if isinstance(other, _Elements):
-            return self.p == other.p and self.codes == other.codes
+            return self.group == other.group
         return frozenset(self) == other
 
 
 class MatrixGroup:
-    """A finite subgroup of GL_2(F_p), closed under product and inverse.
-
-    ``codes`` holds the element codes (see the module docstring);
-    ``elements`` is a set view of them as Mat2 objects. The
-    ``generators`` generate ``codes``: ``generate_closure`` and
-    ``conjugate`` keep this true, and the reflection test relies on it.
+    """A finite subgroup of GL_2(F_p), given by ``generators`` that
+    generate it and its ``order``. ``codes`` caches the closure of the
+    generators (``generate_closure`` passes it, the first read of a
+    conjugate builds it); ``elements`` views it as Mat2 objects. Equality
+    reads the generators and the order.
     """
 
-    __slots__ = ("p", "codes", "generators")
+    __slots__ = ("p", "generators", "order", "_codes")
 
-    def __init__(self, p: int, codes: frozenset[int], generators: tuple[Mat2, ...]):
-        if gl2_order(p) % len(codes) != 0:
-            raise ValueError("element count does not divide |GL_2(F_p)|")
+    def __init__(
+        self, p: int, generators: tuple[Mat2, ...], order: int, codes: Optional[frozenset[int]] = None
+    ):
+        if order < 1 or gl2_order(p) % order != 0:
+            raise ValueError(f"order {order} does not divide |GL_2(F_p)|")
+        if codes is not None and len(codes) != order:
+            raise ValueError(f"{len(codes)} element codes for a group of order {order}")
         _setattr(self, "p", p)
-        _setattr(self, "codes", codes)
         _setattr(self, "generators", generators)
+        _setattr(self, "order", order)
+        _setattr(self, "_codes", codes)
 
     def __setattr__(self, name, value):
         raise AttributeError("MatrixGroup is immutable")
 
     @property
-    def elements(self) -> "_Elements":
-        return _Elements(self.p, self.codes)
+    def codes(self) -> frozenset[int]:
+        codes = self._codes
+        if codes is None:
+            # racing readers each store an equal set in one attribute
+            # write, so a duplicate build is harmless and needs no lock
+            codes = frozenset(_closure(self.p, map(_code, self.generators), self.order))
+            _setattr(self, "_codes", codes)
+        return codes
 
     @property
-    def order(self) -> int:
-        return len(self.codes)
+    def elements(self) -> "_Elements":
+        return _Elements(self)
 
     def conjugate(self, g: Mat2) -> "MatrixGroup":
-        """The group g^{-1} G g."""
+        """The group g^{-1} G g; its codes are built only if read."""
         gi = g.inv()
-        codes = frozenset(_conjugate_codes(self.p, self.codes, gi, g))
-        gens = tuple(gi * m * g for m in self.generators)
-        return MatrixGroup(self.p, codes, gens)
+        return MatrixGroup(self.p, tuple(gi * m * g for m in self.generators), self.order)
 
     def __eq__(self, other):
+        # a subgroup of equal order is the whole group: one side's
+        # generators are members of the side whose codes are built
         if not isinstance(other, MatrixGroup):
             return NotImplemented
-        return self.p == other.p and self.codes == other.codes
+        if self.p != other.p or self.order != other.order:
+            return False
+        built, given = (other, self) if self._codes is None else (self, other)
+        codes = built.codes
+        return all(_code(m) in codes for m in given.generators)
 
     def __hash__(self):
-        return hash((self.p, self.codes))
+        return hash((self.p, self.order))
 
     def __repr__(self):
         return f"MatrixGroup(p={self.p}, order={self.order})"
@@ -332,19 +331,16 @@ class MatrixGroup:
 
 def generate_closure(gens: Sequence[Mat2]) -> MatrixGroup:
     """The group generated by ``gens``: the trivial group, then one coset
-    closure step (``_adjoin``) per generator. It stays inside GL_2(F_p),
-    so it ends with at most |GL_2(F_p)| elements."""
+    closure step (``_adjoin``) per generator not yet in it. It stays
+    inside GL_2(F_p), so it ends with at most |GL_2(F_p)| elements."""
     if not gens:
         raise ValueError("need at least one generator (the identity gives the trivial group)")
     p = gens[0].p
     for g in gens:
         if g.p != p:
             raise ValueError("prime mismatch among generators")
-    elems = [_identity_code(p)]
-    seen, maps = set(elems), []
-    for g in gens:
-        _adjoin(p, elems, seen, maps, g.entries)
-    return MatrixGroup(p, frozenset(seen), tuple(gens))
+    codes = frozenset(_closure(p, map(_code, gens)))
+    return MatrixGroup(p, tuple(gens), len(codes), codes)
 
 
 # -- catalog ------------------------------------------------------------------
@@ -424,8 +420,12 @@ def _transvection_lines(g: MatrixGroup) -> list[tuple[int, int]]:
         return []
     want = 1 if g.order % (p * (p * p - 1)) else 2
     lines: list[tuple[int, int]] = []
-    quads = itertools.chain((m.entries for m in g.generators), (_entries(p, c) for c in g.codes))
-    for a, b, c, d in quads:
+
+    def quads():  # the codes only if the generators show too few lines
+        yield from (m.entries for m in g.generators)
+        yield from (_entries(p, c) for c in g.codes)
+
+    for a, b, c, d in quads():
         # a transvection is not the identity and has trace 2 and determinant 1;
         # then b = 0 forces a = 1, and m - 1 = (0,0;c,0) fixes (0, 1)
         if (a, b, c, d) == (1, 0, 0, 1) or (a + d - 2) % p or (a * d - b * c - 1) % p:
@@ -468,32 +468,19 @@ def find_conjugator(g: MatrixGroup, target: MatrixGroup) -> Optional[Mat2]:
     # the inverse of the line matrix of (1, v) is that of (1, -v), the swap
     # is its own; for a catalog target, line (1, 0), it is the identity
     t = _line_matrix(p, u) * _line_matrix(p, (x, -v % p))
-    ti, target_codes = t.inv(), target.codes
-    # the generators generate g, so their conjugates generate t^-1 g t; it
-    # lies in the target when they do, and conjugation is injective and
-    # the orders agree, so containment is equality
-    if all(_code(ti * m * t) in target_codes for m in g.generators):
-        return t
-    return None
+    # the generators generate g, so their conjugates generate t^-1 g t
+    return t if g.conjugate(t) == target else None
 
 
 def _reflections_generate(g: MatrixGroup) -> bool:
     # generators that are all reflections settle it, since they generate
-    # g; otherwise adjoin g's reflections while the subgroup grows and stop
-    # once it fills g (it lies in g, so reaching |g| elements is equality)
+    # g; otherwise close g's reflections, which stops once the subgroup
+    # fills g (it lies in g, so reaching |g| elements is equality)
     if all(is_reflection(m) for m in g.generators):
         return True
     p = g.p
-    elems = [_identity_code(p)]
-    seen, maps = set(elems), []
-    for code in g.codes:
-        entries = _entries(p, code)
-        if code in seen or not _is_reflection_entries(p, *entries):
-            continue
-        _adjoin(p, elems, seen, maps, entries)
-        if len(elems) == g.order:
-            return True
-    return len(elems) == g.order
+    reflections = (c for c in g.codes if _is_reflection_entries(p, *_entries(p, c)))
+    return len(_closure(p, reflections, g.order)) == g.order
 
 
 def classify(g: MatrixGroup) -> GroupClass:
@@ -525,8 +512,15 @@ def classify(g: MatrixGroup) -> GroupClass:
 
 
 def all_reflections(p: int) -> list[Mat2]:
-    """Every reflection in GL_2(F_p), in deterministic order."""
-    return [m for m in all_invertible(p) if is_reflection(m)]
+    """Every reflection in GL_2(F_p), in entry order: 1 + u w for a column
+    u = (1, v) or (0, 1) and a row w != 0, with det = 1 + w u nonzero."""
+    check_prime(p)
+    quads = []
+    for x, y in [(1, v) for v in range(p)] + [(0, 1)]:
+        for e, f in itertools.product(range(p), repeat=2):
+            if (e or f) and (1 + x * e + y * f) % p:
+                quads.append(((1 + x * e) % p, x * f, y * e % p, (1 + y * f) % p))
+    return [Mat2._trusted(p, *q) for q in sorted(quads)]
 
 
 # -- matrix text grammar --------------------------------------------------------

@@ -7,9 +7,9 @@ mod p at the end, substitution via explicit big-integer binomial
 expansion, and a literal long-division routine. Slow and obviously correct. The rest are the slow paths that
 faster library code replaced (the conjugator search, the transvection
 line scan over every element and the witness check on every element, the
-breadth-first group closure and the reflection test built on it, the
-classification that runs the reflection scan before it reads the order,
-the shear division,
+breadth-first group closure, group equality and the reflection test
+built on it, the classification that runs the reflection scan before it
+reads the order, the shear division,
 the action matrix from products of powers of the image forms, the
 iterated fixed-subspace kernel, the operator rows from that matrix, the
 generalized invariant levels searched over every coordinate, the dense
@@ -241,6 +241,17 @@ def bfs_closure(gens) -> frozenset[int]:
         frontier = {_mat_mul(m, g, p) for m in frontier for g in mats} - seen
         seen = seen | frontier
     return frozenset(((a * p + b) * p + c) * p + d for a, b, c, d in seen)
+
+
+def bfs_group_equal(group, other) -> bool:
+    """Group equality as equality of element sets: the ``bfs_closure`` of
+    each side's generators."""
+    return group.p == other.p and _bfs_of(group.generators) == _bfs_of(other.generators)
+
+
+@lru_cache(maxsize=1024)
+def _bfs_of(gens: tuple) -> frozenset[int]:
+    return bfs_closure(list(gens))
 
 
 def reflections_generate(group) -> bool:

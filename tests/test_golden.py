@@ -23,6 +23,8 @@ CASES = [
     ("gen_p11_transvections.json", ["gen", "--prime", "11", "--reflections", "1,1;0,1 1,0;1,1"]),
     ("verify_p11_formules.json", ["verify", "--prime", "11", "--theorem", "formules", "--format", "json"]),
     ("verify_p13_formules.json", ["verify", "--prime", "13", "--theorem", "formules", "--format", "json"]),
+    # every target at p = 13, where grups conjugates groups of up to 26,208 elements
+    ("verify_p13_all.json", ["verify", "--prime", "13", "--theorem", "all", "--format", "json"]),
     ("gen_p7_upper_diag.json", ["gen", "--prime", "7", "--reflections", "1,1;0,1 3,0;0,1"]),
     # diagonal reflections only: the operators divide by x and by y
     ("gen_p7_diagonal.json", ["gen", "--prime", "7", "--reflections", "6,0;0,1 1,0;0,6"]),

@@ -6,6 +6,7 @@ import random
 import pytest
 from oracles import (
     bfs_closure,
+    bfs_group_equal,
     brute_force_conjugator,
     elementwise_classify,
     full_scan_transvection_lines,
@@ -13,6 +14,7 @@ from oracles import (
     scan_first_classify,
 )
 
+from modinv import grp2
 from modinv.fp_arith import divisors, primitive_root
 from modinv.grp2 import (
     Mat2,
@@ -35,6 +37,7 @@ from modinv.grp2 import (
     parse_matrix,
     parse_matrix_list,
 )
+from modinv.verify import run_verification
 
 PRIMES = [2, 3, 5, 7]
 
@@ -215,7 +218,7 @@ def test_trivial_group_and_lagrange():
     five = {Mat2.identity(3), w, w * w, wp, wp * wp}
     assert len(five) == 5
     with pytest.raises(ValueError):
-        MatrixGroup(3, _codes(five), (w,))  # 5 does not divide 48
+        MatrixGroup(3, (w,), len(five), _codes(five))  # 5 does not divide 48
     assert gl2_order(3) == 48
 
 
@@ -239,7 +242,7 @@ def test_group_iteration_is_deterministic():
     assert [m.entries for m in g.elements] == sorted(m.entries for m in g.elements)
     assert len(g.elements) == g.order == len(set(g.elements))
     # the element set round-trips through the public constructor
-    assert MatrixGroup(3, _codes(g.elements), g.generators) == g
+    assert MatrixGroup(3, g.generators, g.order, _codes(g.elements)) == g
 
 
 def test_lower_transvection_group_classifies_as_U11():
@@ -319,7 +322,7 @@ def test_closure_matches_bfs_oracle_on_seeded_lists(p):
 def _with_identity(g):
     # the same group with a non-reflection generator, so the test adjoins
     # its reflections instead of reading the generators
-    return MatrixGroup(g.p, g.codes, g.generators + (Mat2.identity(g.p),))
+    return MatrixGroup(g.p, g.generators + (Mat2.identity(g.p),), g.order, g.codes)
 
 
 def test_reflections_generate_matches_oracle_on_gl2_f3():
@@ -423,3 +426,119 @@ def test_classify_by_order_matches_the_scan_first_oracle_at_p31():
         assert (tag.kind, tag.r) == (kind, r)
         got = (tag.kind, tag.r, tag.s, tag.conjugator.entries if tag.conjugator else None)
         assert got == scan_first_classify(g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 11])
+def test_all_reflections_match_the_filtered_invertible_list(p):
+    assert all_reflections(p) == [m for m in all_invertible(p) if is_reflection(m)]
+
+
+def _assert_equality_matches_oracle(groups):
+    # equal groups hash equal, and the element views compare as the groups
+    for g in groups:
+        for h in groups:
+            want = bfs_group_equal(g, h)
+            assert (g == h) == want
+            assert (g.elements == h.elements) == want
+            if want:
+                assert hash(g) == hash(h)
+
+
+def test_group_equality_matches_oracle_on_gl2_f3():
+    # every closure of one or two matrices, up to two generator lists per
+    # group, and a conjugate of each, whose codes are built only when read
+    mats = all_invertible(3)
+    reps = {}
+    for gens in [[m] for m in mats] + [[m, n] for m in mats for n in mats]:
+        g = generate_closure(gens)
+        same = reps.setdefault(g.codes, [])
+        if len(same) < 2 and all(set(h.generators) != set(gens) for h in same):
+            same.append(g)
+    groups = [g for same in reps.values() for g in same]
+    groups += [g.conjugate(Mat2(3, 1, 1, 2, 0)) for g in groups]
+    _assert_equality_matches_oracle(groups)
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_group_equality_matches_oracle_on_conjugated_catalog(p):
+    # upper triangular conjugators fix each U(r, s), with new generators;
+    # every conjugator fixes each L(r)
+    rng = random.Random(20 + p)
+    ts = [omega_prime(p), diag(p, primitive_root(p), 1)] + rng.sample(all_invertible(p), 3)
+    groups = _catalog(p)
+    _assert_equality_matches_oracle(groups + [g.conjugate(t) for g in groups for t in ts])
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])
+def test_equal_orders_and_unequal_groups(p):
+    # <omega'> and its swap conjugate <omega> share their order only, and so
+    # do U(p - 1, 1) and U(1, p - 1)
+    swap = Mat2(p, 0, 1, 1, 0)
+    u11 = catalog_group("U", p, 1, 1)
+    assert u11.conjugate(swap) != u11 and u11.conjugate(swap).order == u11.order
+    assert u11.conjugate(swap) == generate_closure([omega(p)])
+    z = p - 1
+    assert catalog_group("U", p, z, 1) != catalog_group("U", p, 1, z)
+    assert not bfs_group_equal(catalog_group("U", p, z, 1), catalog_group("U", p, 1, z))
+    # fresh conjugates on both sides: the right side builds its codes
+    left, right = u11.conjugate(swap), u11.conjugate(swap * omega(p))
+    assert left == right and right._codes is not None and left._codes is None
+    assert len(left.elements) == p and left._codes is None
+
+
+def test_constructor_refuses_an_order_that_does_not_divide_or_codes_of_another_size():
+    w = omega(3)
+    with pytest.raises(ValueError, match="does not divide"):
+        MatrixGroup(3, (w,), 5)
+    with pytest.raises(ValueError, match="does not divide"):
+        MatrixGroup(3, (w,), 0)
+    with pytest.raises(ValueError, match="6 element codes for a group of order 3"):
+        MatrixGroup(3, (w,), 3, catalog_group("U", 3, 2, 1).codes)
+
+
+def _count_closures(monkeypatch):
+    calls = []
+    closure = grp2._closure
+
+    def counted(*args):
+        calls.append(args[0])
+        return closure(*args)
+
+    monkeypatch.setattr(grp2, "_closure", counted)
+    return calls
+
+
+def test_classifying_a_conjugate_builds_no_codes(monkeypatch):
+    # the catalog is built first, so every closure counted below would be a
+    # conjugate's codes
+    rng = random.Random(5)
+    catalog = {p: _catalog(p) for p in (2, 3, 5, 7, 11, 13)}
+    calls = _count_closures(monkeypatch)
+    for p, groups in catalog.items():
+        for g in groups:
+            base = classify(g)
+            for _ in range(3):
+                t = rng.choice(all_invertible(p))
+                moved = classify(g.conjugate(t))
+                assert (moved.kind, moved.r, moved.s) == (base.kind, base.r, base.s)
+    assert calls == []
+
+
+def test_grups_builds_no_codes_with_a_warm_catalog(monkeypatch):
+    _catalog(5)
+    calls = _count_closures(monkeypatch)
+    (report,) = run_verification([5], ["grups"])
+    assert report.status == "pass"
+    assert calls == []
+
+
+def test_concurrent_code_readers():
+    from concurrent.futures import ThreadPoolExecutor
+
+    # a duplicate build stores an equal frozenset in one attribute write,
+    # so every reader gets the closure, without a lock
+    g = catalog_group("L", 11, 10).conjugate(Mat2(11, 2, 3, 5, 1))
+    with ThreadPoolExecutor(max_workers=8) as pool:
+        got = list(pool.map(lambda _: g.codes, range(8)))
+    want = bfs_closure(list(g.generators))
+    assert all(codes == want for codes in got)
